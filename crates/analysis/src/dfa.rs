@@ -21,14 +21,23 @@
 //! * the same internal event, at least one emitting (emit/emit or
 //!   emit/await);
 //! * C functions not declared `pure`/`deterministic`-compatible.
+//!
+//! The state space is exponential in the worst case (§6), so the constant
+//! factor per state matters: states are sorted flat vectors interned once
+//! by an in-tree Fx hash, accesses are `Copy` keys over variable and C
+//! function ids interned once per analysis (names become strings only in a
+//! reported [`Conflict`]), and every per-reaction buffer — configurations,
+//! track queue, access log, trail groups — is recycled across expansions.
 
 use ceu_ast::{EventId, Span};
 use ceu_codegen::{
-    AsyncId, BlockId, CompiledProgram, GateId, GateKind, Op, Place, RegionId, Rv, SlotId, Term,
-    TimeAmount,
+    AsyncId, BlockId, CompiledProgram, GateId, GateKind, Op, Place, Rv, SlotId, Term, TimeAmount,
 };
-use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
+use std::borrow::Cow;
+use std::collections::{BTreeSet, HashMap, HashSet, VecDeque};
 use std::fmt;
+use std::hash::{BuildHasherDefault, Hash, Hasher};
+use std::mem;
 
 /// Analysis limits.
 #[derive(Clone, Debug)]
@@ -61,11 +70,50 @@ pub enum GateSt {
     Async,
 }
 
-type GateMap = BTreeMap<GateId, GateSt>;
-type FlagSet = BTreeSet<SlotId>;
+/// The possibly-active gates of a state and their status, in ascending
+/// gate order.
+#[derive(Clone, Default, PartialEq, Eq, Hash, Debug)]
+pub struct GateMap(Vec<(GateId, GateSt)>);
+
+impl GateMap {
+    pub fn len(&self) -> usize {
+        self.0.len()
+    }
+
+    pub fn is_empty(&self) -> bool {
+        self.0.is_empty()
+    }
+
+    /// `(gate, status)` pairs in ascending gate order.
+    pub fn iter(&self) -> impl Iterator<Item = (&GateId, &GateSt)> {
+        self.0.iter().map(|(g, st)| (g, st))
+    }
+
+    pub fn values(&self) -> impl Iterator<Item = &GateSt> {
+        self.0.iter().map(|(_, st)| st)
+    }
+}
+
+/// The par/and flags set in a state, in ascending slot order.
+#[derive(Clone, Default, PartialEq, Eq, Hash, Debug)]
+pub struct FlagSet(Vec<SlotId>);
+
+impl FlagSet {
+    pub fn len(&self) -> usize {
+        self.0.len()
+    }
+
+    pub fn is_empty(&self) -> bool {
+        self.0.is_empty()
+    }
+
+    pub fn iter(&self) -> impl Iterator<Item = &SlotId> {
+        self.0.iter()
+    }
+}
 
 /// One DFA state: the possibly-active gates and the par/and flags.
-#[derive(Clone, PartialEq, Eq, Hash, Debug)]
+#[derive(Clone, Default, PartialEq, Eq, Hash, Debug)]
 pub struct State {
     pub gates: GateMap,
     pub flags: FlagSet,
@@ -125,6 +173,28 @@ impl fmt::Display for Conflict {
     }
 }
 
+/// The limit that stopped an incomplete analysis.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub enum DfaLimit {
+    /// [`DfaOptions::max_states`] states were built.
+    MaxStates(usize),
+    /// One reaction branched into [`DfaOptions::max_paths_per_reaction`]
+    /// paths.
+    MaxPathsPerReaction(usize),
+    /// One reaction path ran this many blocks without halting.
+    Steps(u32),
+}
+
+impl fmt::Display for DfaLimit {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            DfaLimit::MaxStates(n) => write!(f, "max_states = {n}"),
+            DfaLimit::MaxPathsPerReaction(n) => write!(f, "max_paths_per_reaction = {n}"),
+            DfaLimit::Steps(n) => write!(f, "{n} steps per reaction path"),
+        }
+    }
+}
+
 /// The analysis result.
 #[derive(Clone, Debug)]
 pub struct Dfa {
@@ -133,6 +203,8 @@ pub struct Dfa {
     pub conflicts: Vec<Conflict>,
     /// `true` if a limit was hit and the DFA is incomplete.
     pub truncated: bool,
+    /// The first limit hit; `Some` exactly when `truncated`.
+    pub limit: Option<DfaLimit>,
 }
 
 impl Dfa {
@@ -145,7 +217,22 @@ impl Dfa {
     /// start to the reaction that triggers the given conflict; the paper
     /// counts occurrences this way ("on the 6th occurrence of A").
     pub fn conflict_depth(&self, c: &Conflict) -> Option<usize> {
-        let mut dist = vec![usize::MAX; self.states.len()];
+        // successors per state, in transition order (CSR offsets)
+        let n = self.states.len();
+        let mut start = vec![0usize; n + 1];
+        for t in &self.transitions {
+            start[t.from + 1] += 1;
+        }
+        for s in 0..n {
+            start[s + 1] += start[s];
+        }
+        let mut fill = start.clone();
+        let mut succ = vec![0usize; self.transitions.len()];
+        for t in &self.transitions {
+            succ[fill[t.from]] = t.to;
+            fill[t.from] += 1;
+        }
+        let mut dist = vec![usize::MAX; n];
         let mut q = VecDeque::new();
         dist[0] = 0;
         q.push_back(0usize);
@@ -155,10 +242,10 @@ impl Dfa {
                 // fires on the *next* occurrence: +1 - 1 = dist
                 return Some(dist[s]);
             }
-            for t in self.transitions.iter().filter(|t| t.from == s) {
-                if dist[t.to] == usize::MAX {
-                    dist[t.to] = dist[s] + 1;
-                    q.push_back(t.to);
+            for &to in &succ[start[s]..start[s + 1]] {
+                if dist[to] == usize::MAX {
+                    dist[to] = dist[s] + 1;
+                    q.push_back(to);
                 }
             }
         }
@@ -166,67 +253,150 @@ impl Dfa {
     }
 }
 
+// ---- hashing ----------------------------------------------------------------
+
+/// The Fx hash (rustc's): one rotate-xor-multiply per machine word. Not
+/// DoS-resistant, which the analysis does not need — its keys are small
+/// integers and identifiers of the program under analysis.
+#[derive(Clone, Copy, Default)]
+struct FxHasher(u64);
+
+impl FxHasher {
+    #[inline]
+    fn add(&mut self, word: u64) {
+        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(0x51_7c_c1_b7_27_22_0a_95);
+    }
+}
+
+impl Hasher for FxHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        let mut words = bytes.chunks_exact(8);
+        for w in &mut words {
+            self.add(u64::from_le_bytes(w.try_into().unwrap()));
+        }
+        let rest = words.remainder();
+        if !rest.is_empty() {
+            let mut w = [0u8; 8];
+            w[..rest.len()].copy_from_slice(rest);
+            self.add(u64::from_le_bytes(w));
+        }
+    }
+
+    fn write_u8(&mut self, i: u8) {
+        self.add(i as u64);
+    }
+
+    fn write_u16(&mut self, i: u16) {
+        self.add(i as u64);
+    }
+
+    fn write_u32(&mut self, i: u32) {
+        self.add(i as u64);
+    }
+
+    fn write_u64(&mut self, i: u64) {
+        self.add(i);
+    }
+
+    fn write_usize(&mut self, i: usize) {
+        self.add(i as u64);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+type FxBuild = BuildHasherDefault<FxHasher>;
+
+fn state_hash(gates: &[(GateId, GateSt)], flags: &[SlotId]) -> u64 {
+    let mut h = FxHasher::default();
+    gates.hash(&mut h);
+    flags.hash(&mut h);
+    h.finish()
+}
+
 // ---- access bookkeeping -----------------------------------------------------
 
-#[derive(Clone, PartialEq, Eq, Hash, Debug)]
+/// Interned variable name (`Analyzer::var_names`).
+type VarId = u32;
+/// Interned C function name (`Analyzer::fn_names`).
+type FnId = u32;
+
+const NO_VAR: VarId = VarId::MAX;
+
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 enum AccessKind {
-    VarRead(String),
-    VarWrite(String),
+    VarRead(VarId),
+    VarWrite(VarId),
     EmitInt(EventId),
     AwaitInt(EventId),
     /// Output emission: concurrent emissions of the same output event are
     /// observably ordered by the environment → nondeterministic.
     EmitOut(EventId),
-    CCall(String),
+    CCall(FnId),
 }
 
-#[derive(Clone, Debug)]
+#[derive(Clone, Copy, Debug)]
 struct Access {
     kind: AccessKind,
     group: u32,
     span: Span,
 }
 
-#[derive(Clone, Debug)]
+#[derive(Default, Debug)]
 struct Groups {
-    /// parents (possibly several, for par/and rejoins) and phase per group.
-    info: Vec<(Vec<u32>, u8)>,
+    /// The parents (possibly several, for par/and rejoins) of every group,
+    /// concatenated.
+    parents: Vec<u32>,
+    /// Per group: its `parents` range and its phase. A parent always has
+    /// a smaller id than its child.
+    info: Vec<(u32, u32, u8)>,
 }
 
 impl Groups {
-    fn new() -> Self {
-        Groups { info: vec![] }
-    }
-
-    fn fresh(&mut self, parents: Vec<u32>, phase: u8) -> u32 {
-        self.info.push((parents, phase));
+    /// A new group with the given parents (duplicates dropped).
+    fn fresh(&mut self, parents: impl IntoIterator<Item = u32>, phase: u8) -> u32 {
+        let lo = self.parents.len();
+        for p in parents {
+            if !self.parents[lo..].contains(&p) {
+                self.parents.push(p);
+            }
+        }
+        self.info.push((lo as u32, self.parents.len() as u32, phase));
         (self.info.len() - 1) as u32
     }
 
     fn phase(&self, g: u32) -> u8 {
-        self.info[g as usize].1
+        self.info[g as usize].2
     }
 
-    /// `true` when one group is an ancestor of the other (sequenced).
-    fn related(&self, a: u32, b: u32) -> bool {
-        self.is_ancestor(a, b) || self.is_ancestor(b, a)
-    }
-
-    fn is_ancestor(&self, anc: u32, mut_of: u32) -> bool {
-        let mut stack = vec![mut_of];
+    /// `true` when one of two distinct groups is an ancestor of the other
+    /// (sequenced). `stack` is scratch space.
+    fn related(&self, a: u32, b: u32, stack: &mut Vec<u32>) -> bool {
+        let (anc, of) = if a < b { (a, b) } else { (b, a) };
+        stack.clear();
+        stack.push(of);
         while let Some(x) = stack.pop() {
             if x == anc {
                 return true;
             }
-            stack.extend(self.info[x as usize].0.iter().copied());
+            let (lo, hi, _) = self.info[x as usize];
+            // a group below `anc` cannot have `anc` as an ancestor
+            stack.extend(self.parents[lo as usize..hi as usize].iter().filter(|&&p| p >= anc));
         }
         false
+    }
+
+    fn clone_from(&mut self, src: &Groups) {
+        self.parents.clone_from(&src.parents);
+        self.info.clone_from(&src.info);
     }
 }
 
 // ---- abstract configurations -------------------------------------------------
 
-#[derive(Clone, Debug)]
+#[derive(Clone, Copy, Debug)]
 struct QTrack {
     rank: u8,
     seq: u64,
@@ -234,48 +404,199 @@ struct QTrack {
     group: u32,
 }
 
-#[derive(Clone, Debug)]
+/// One path of a reaction in progress. Configurations are recycled
+/// through `Analyzer::pool`, so their buffers are reused, not reallocated.
+#[derive(Default, Debug)]
 struct Config {
-    gates: GateMap,
-    flags: FlagSet,
+    /// Sorted by gate.
+    gates: Vec<(GateId, GateSt)>,
+    /// Sorted.
+    flags: Vec<SlotId>,
     queue: Vec<QTrack>,
     accesses: Vec<Access>,
     /// Dedup: one record per (kind, group) — duplicates add no conflict
     /// pairs and would blow up quadratic checking on looping paths.
-    seen: std::collections::HashSet<(AccessKind, u32)>,
+    seen: HashSet<(AccessKind, u32), FxBuild>,
     groups: Groups,
     /// Which group set each par/and flag *in this reaction* (sequencing
-    /// evidence for the rejoin continuation).
-    flag_owner: BTreeMap<SlotId, u32>,
+    /// evidence for the rejoin continuation), sorted by flag.
+    flag_owner: Vec<(SlotId, u32)>,
     seq: u64,
     steps: u32,
     terminated: bool,
 }
 
+impl Config {
+    /// Starts a reaction from a DFA state.
+    fn reset(&mut self, gates: &[(GateId, GateSt)], flags: &[SlotId]) {
+        self.gates.clear();
+        self.gates.extend_from_slice(gates);
+        self.flags.clear();
+        self.flags.extend_from_slice(flags);
+        self.queue.clear();
+        self.accesses.clear();
+        self.seen.clear();
+        self.groups.parents.clear();
+        self.groups.info.clear();
+        self.flag_owner.clear();
+        self.seq = 0;
+        self.steps = 0;
+        self.terminated = false;
+    }
+
+    /// Forks `src`: the other branch of a conditional.
+    fn clone_from(&mut self, src: &Config) {
+        self.gates.clone_from(&src.gates);
+        self.flags.clone_from(&src.flags);
+        self.queue.clone_from(&src.queue);
+        self.accesses.clone_from(&src.accesses);
+        self.seen.clone_from(&src.seen);
+        self.groups.clone_from(&src.groups);
+        self.flag_owner.clone_from(&src.flag_owner);
+        self.seq = src.seq;
+        self.steps = src.steps;
+        self.terminated = src.terminated;
+    }
+
+    fn set_gate(&mut self, g: GateId, st: GateSt) {
+        match self.gates.binary_search_by_key(&g, |e| e.0) {
+            Ok(i) => self.gates[i].1 = st,
+            Err(i) => self.gates.insert(i, (g, st)),
+        }
+    }
+
+    fn remove_gate(&mut self, g: GateId) {
+        if let Ok(i) = self.gates.binary_search_by_key(&g, |e| e.0) {
+            self.gates.remove(i);
+        }
+    }
+
+    /// Records an access once per (kind, group) within a reaction path.
+    fn record(&mut self, kind: AccessKind, group: u32, span: Span) {
+        if self.seen.insert((kind, group)) {
+            self.accesses.push(Access { kind, group, span });
+        }
+    }
+
+    fn push_track(&mut self, prog: &CompiledProgram, block: BlockId, group: u32) {
+        self.seq += 1;
+        self.queue.push(QTrack { rank: prog.block(block).rank, seq: self.seq, block, group });
+    }
+
+    /// Used for emit-awakened trails: they run before previously queued
+    /// tracks (stack policy approximation).
+    fn push_front_track(&mut self, prog: &CompiledProgram, block: BlockId, group: u32) {
+        self.queue.insert(0, QTrack { rank: prog.block(block).rank, seq: 0, block, group });
+    }
+
+    fn pop_track(&mut self) -> QTrack {
+        let mut best = 0;
+        for i in 1..self.queue.len() {
+            let (q, b) = (&self.queue[i], &self.queue[best]);
+            if (q.rank, q.seq) < (b.rank, b.seq) {
+                best = i;
+            }
+        }
+        self.queue.remove(best)
+    }
+}
+
+/// Index range `[lo, hi)` of the sorted keys in `lo..hi`.
+fn key_range<T>(v: &[T], key: impl Fn(&T) -> u32, lo: u32, hi: u32) -> std::ops::Range<usize> {
+    let a = v.partition_point(|e| key(e) < lo);
+    let b = v.partition_point(|e| key(e) < hi).max(a);
+    a..b
+}
+
 const STEP_LIMIT: u32 = 100_000;
+
+/// Interned DFA states: the first state index per hash, then a chain of
+/// further states with the same hash.
+#[derive(Default)]
+struct Interner {
+    first: HashMap<u64, u32, FxBuild>,
+    next: Vec<u32>,
+}
+
+impl Interner {
+    /// The index of the state `(gates, flags)`, adding it to the DFA (and
+    /// to `work`) when it is new.
+    fn intern(
+        &mut self,
+        dfa: &mut Dfa,
+        work: &mut VecDeque<usize>,
+        gates: &[(GateId, GateSt)],
+        flags: &[SlotId],
+    ) -> usize {
+        let h = state_hash(gates, flags);
+        let mut at = self.first.get(&h).copied().unwrap_or(u32::MAX);
+        while at != u32::MAX {
+            let s = &dfa.states[at as usize];
+            if s.gates.0 == gates && s.flags.0 == flags {
+                return at as usize;
+            }
+            at = self.next[at as usize];
+        }
+        let i = dfa.states.len();
+        dfa.states.push(State { gates: GateMap(gates.to_vec()), flags: FlagSet(flags.to_vec()) });
+        self.next.push(self.first.insert(h, i as u32).unwrap_or(u32::MAX));
+        work.push_back(i);
+        i
+    }
+}
 
 struct Analyzer<'a> {
     prog: &'a CompiledProgram,
     opts: &'a DfaOptions,
-    /// slot → variable name (arrays map their whole range).
-    slot_name: Vec<Option<String>>,
     internal: Vec<bool>,
+    /// slot → variable (arrays map their whole range); `NO_VAR` until an
+    /// access to an unnamed slot interns `slot<N>`.
+    slot_var: Vec<VarId>,
+    var_names: Vec<Cow<'a, str>>,
+    var_ids: HashMap<Cow<'a, str>, VarId, FxBuild>,
+    /// The variable every access through a pointer maps to.
+    pointer: VarId,
+    fn_names: Vec<&'a str>,
+    fn_ids: HashMap<&'a str, FnId, FxBuild>,
+    // scratch, reused across expansions
+    pool: Vec<Config>,
+    done: Vec<Config>,
+    rv_stack: Vec<&'a Rv>,
+    group_stack: Vec<u32>,
+    labels: Vec<(Label, usize, usize)>,
+    roots: Vec<GateId>,
+    listeners: Vec<(EventId, GateId)>,
 }
 
 /// Runs the temporal analysis over a compiled program.
 pub fn analyze(prog: &CompiledProgram, opts: &DfaOptions) -> Dfa {
-    let mut slot_name = vec![None; prog.data_len as usize];
-    for s in &prog.slots {
-        for k in 0..s.len {
-            let at = (s.slot + k) as usize;
-            if at < slot_name.len() {
-                slot_name[at] = Some(s.name.clone());
-            }
-        }
-    }
     let internal =
         prog.events.iter().map(|(_, e)| e.kind == ceu_ast::EventKind::Internal).collect();
-    let az = Analyzer { prog, opts, slot_name, internal };
+    let mut az = Analyzer {
+        prog,
+        opts,
+        internal,
+        slot_var: vec![NO_VAR; prog.data_len as usize],
+        var_names: Vec::new(),
+        var_ids: HashMap::default(),
+        pointer: NO_VAR,
+        fn_names: Vec::new(),
+        fn_ids: HashMap::default(),
+        pool: Vec::new(),
+        done: Vec::new(),
+        rv_stack: Vec::new(),
+        group_stack: Vec::new(),
+        labels: Vec::new(),
+        roots: Vec::new(),
+        listeners: Vec::new(),
+    };
+    for s in &prog.slots {
+        let v = az.intern_var(Cow::Borrowed(&s.name));
+        let lo = (s.slot as usize).min(az.slot_var.len());
+        let hi = (s.slot as usize + s.len as usize).min(az.slot_var.len());
+        az.slot_var[lo..hi].fill(v);
+    }
+    az.pointer = az.intern_var(Cow::Borrowed("*<pointer>"));
     az.build()
 }
 
@@ -284,47 +605,93 @@ pub fn check_determinism(prog: &CompiledProgram) -> Vec<Conflict> {
     analyze(prog, &DfaOptions::default()).conflicts
 }
 
+/// Marks the DFA incomplete, remembering the first limit hit.
+fn stop(dfa: &mut Dfa, limit: DfaLimit) {
+    dfa.truncated = true;
+    dfa.limit.get_or_insert(limit);
+}
+
 impl<'a> Analyzer<'a> {
-    fn build(&self) -> Dfa {
+    fn intern_var(&mut self, name: Cow<'a, str>) -> VarId {
+        if let Some(&v) = self.var_ids.get(name.as_ref()) {
+            return v;
+        }
+        let v = self.var_names.len() as VarId;
+        self.var_names.push(name.clone());
+        self.var_ids.insert(name, v);
+        v
+    }
+
+    fn var(&mut self, slot: SlotId) -> VarId {
+        match self.slot_var.get(slot as usize) {
+            Some(&v) if v != NO_VAR => v,
+            _ => {
+                let v = self.intern_var(Cow::Owned(format!("slot{slot}")));
+                if let Some(at) = self.slot_var.get_mut(slot as usize) {
+                    *at = v;
+                }
+                v
+            }
+        }
+    }
+
+    fn function(&mut self, name: &'a str) -> FnId {
+        if let Some(&f) = self.fn_ids.get(name) {
+            return f;
+        }
+        let f = self.fn_names.len() as FnId;
+        self.fn_names.push(name);
+        self.fn_ids.insert(name, f);
+        f
+    }
+
+    fn build(mut self) -> Dfa {
         let mut dfa = Dfa {
-            states: vec![State { gates: GateMap::new(), flags: FlagSet::new() }],
+            states: vec![State::default()],
             transitions: vec![],
             conflicts: vec![],
             truncated: false,
+            limit: None,
         };
-        let mut interned: HashMap<State, usize> = HashMap::new();
-        interned.insert(dfa.states[0].clone(), 0);
+        let mut interner = Interner::default();
+        interner.first.insert(state_hash(&[], &[]), 0);
+        interner.next.push(u32::MAX);
         let mut work: VecDeque<usize> = VecDeque::new();
 
         // boot transition
-        let st0 = dfa.states[0].clone();
-        let boot_outcomes = self.expand(&st0, Label::Boot, vec![], Some(self.prog.boot), &mut dfa);
-        for st in boot_outcomes {
-            let idx = intern(&mut dfa, &mut interned, &mut work, st);
-            dfa.transitions.push(Trans { from: 0, label: Label::Boot, to: idx });
-        }
+        self.expand(&[], &[], &Label::Boot, &[], Some(self.prog.boot), &mut dfa);
+        self.commit(0, &Label::Boot, &mut dfa, &mut interner, &mut work);
 
+        // Conflicts are recorded with `state = usize::MAX` and fixed up
+        // after each label's expansion. Boot conflicts stay pending until
+        // the first expanded label claims them (or, with none, the end).
+        let mut pending = 0;
+        let mut src_gates = Vec::new();
+        let mut src_flags = Vec::new();
         while let Some(s) = work.pop_front() {
             if dfa.states.len() >= self.opts.max_states {
-                dfa.truncated = true;
+                stop(&mut dfa, DfaLimit::MaxStates(self.opts.max_states));
                 break;
             }
-            for (label, roots) in self.labels_of(&dfa.states[s]) {
-                let outcomes =
-                    self.expand(&dfa.states[s].clone(), label.clone(), roots, None, &mut dfa);
-                for st in outcomes {
-                    let idx = intern(&mut dfa, &mut interned, &mut work, st);
-                    dfa.transitions.push(Trans { from: s, label: label.clone(), to: idx });
-                }
-                // conflicts recorded during expansion get state/label fixed up
-                for c in dfa.conflicts.iter_mut().filter(|c| c.state == usize::MAX) {
+            src_gates.clone_from(&dfa.states[s].gates.0);
+            src_flags.clone_from(&dfa.states[s].flags.0);
+            self.labels_of(&src_gates);
+            let labels = mem::take(&mut self.labels);
+            let roots = mem::take(&mut self.roots);
+            for (label, lo, hi) in &labels {
+                self.expand(&src_gates, &src_flags, label, &roots[*lo..*hi], None, &mut dfa);
+                self.commit(s, label, &mut dfa, &mut interner, &mut work);
+                for c in &mut dfa.conflicts[pending..] {
                     c.state = s;
                     c.label = label.clone();
                 }
+                pending = dfa.conflicts.len();
             }
+            self.labels = labels;
+            self.roots = roots;
         }
         // boot-time conflicts
-        for c in dfa.conflicts.iter_mut().filter(|c| c.state == usize::MAX) {
+        for c in &mut dfa.conflicts[pending..] {
             c.state = 0;
             c.label = Label::Boot;
         }
@@ -332,196 +699,214 @@ impl<'a> Analyzer<'a> {
         dfa
     }
 
-    /// All transition labels leaving a state, with their root gates.
-    fn labels_of(&self, state: &State) -> Vec<(Label, Vec<GateId>)> {
-        let mut out = Vec::new();
-        // external events with listeners
-        let mut by_event: BTreeMap<EventId, Vec<GateId>> = BTreeMap::new();
-        for (&g, &st) in &state.gates {
+    /// Interns the state each finished path of the last expansion ends in
+    /// and adds one transition per distinct target, in path order; then
+    /// recycles the paths.
+    fn commit(
+        &mut self,
+        from: usize,
+        label: &Label,
+        dfa: &mut Dfa,
+        interner: &mut Interner,
+        work: &mut VecDeque<usize>,
+    ) {
+        let first = dfa.transitions.len();
+        for c in &self.done {
+            let to = interner.intern(dfa, work, &c.gates, &c.flags);
+            if !dfa.transitions[first..].iter().any(|t| t.to == to) {
+                dfa.transitions.push(Trans { from, label: label.clone(), to });
+            }
+        }
+        self.pool.append(&mut self.done);
+    }
+
+    /// All transition labels leaving a state, into `self.labels`, each
+    /// with its root gates as a range of `self.roots`.
+    fn labels_of(&mut self, gates: &[(GateId, GateSt)]) {
+        let prog = self.prog;
+        self.labels.clear();
+        self.roots.clear();
+        // external events with listeners, by event
+        self.listeners.clear();
+        for &(g, st) in gates {
             if st == GateSt::Event {
-                if let GateKind::Evt(e) = self.prog.gate(g).kind {
-                    if self.prog.events.get(e).external() {
-                        by_event.entry(e).or_default().push(g);
+                if let GateKind::Evt(e) = prog.gate(g).kind {
+                    if prog.events.get(e).external() {
+                        self.listeners.push((e, g));
                     }
                 }
             }
         }
-        for (e, roots) in by_event {
-            out.push((Label::Event(e), roots));
+        self.listeners.sort_unstable();
+        let mut i = 0;
+        while i < self.listeners.len() {
+            let e = self.listeners[i].0;
+            let lo = self.roots.len();
+            while i < self.listeners.len() && self.listeners[i].0 == e {
+                self.roots.push(self.listeners[i].1);
+                i += 1;
+            }
+            self.labels.push((Label::Event(e), lo, self.roots.len()));
         }
         // known deadlines: earliest fires; simultaneous ones share a reaction
-        let known: Vec<(GateId, u64)> = state
-            .gates
-            .iter()
-            .filter_map(|(&g, &st)| match st {
-                GateSt::Time(d) => Some((g, d)),
-                _ => None,
-            })
-            .collect();
-        let unknowns: Vec<GateId> = state
-            .gates
-            .iter()
-            .filter_map(|(&g, &st)| (st == GateSt::TimeUnknown).then_some(g))
-            .collect();
-        if let Some(&m) = known.iter().map(|(_, d)| d).min() {
-            let roots: Vec<GateId> =
-                known.iter().filter(|(_, d)| *d == m).map(|(g, _)| *g).collect();
-            out.push((Label::Time { rel: m, with_unknown: vec![] }, roots.clone()));
+        let known = gates.iter().filter_map(|&(g, st)| match st {
+            GateSt::Time(d) => Some((g, d)),
+            _ => None,
+        });
+        let unknowns = || gates.iter().filter(|e| e.1 == GateSt::TimeUnknown).map(|e| e.0);
+        if let Some(m) = known.clone().map(|(_, d)| d).min() {
+            let lo = self.roots.len();
+            self.roots.extend(known.filter(|&(_, d)| d == m).map(|(g, _)| g));
+            let hi = self.roots.len();
+            self.labels.push((Label::Time { rel: m, with_unknown: vec![] }, lo, hi));
             // an unknown-duration timer may coincide with the deadline
-            for &u in &unknowns {
-                let mut r = roots.clone();
-                r.push(u);
-                out.push((Label::Time { rel: m, with_unknown: vec![u] }, r));
+            for u in unknowns() {
+                let at = self.roots.len();
+                self.roots.extend_from_within(lo..hi);
+                self.roots.push(u);
+                let label = Label::Time { rel: m, with_unknown: vec![u] };
+                self.labels.push((label, at, self.roots.len()));
             }
         }
         // unknown timers alone and pairwise
-        for (i, &u) in unknowns.iter().enumerate() {
-            out.push((Label::Unknown(vec![u]), vec![u]));
-            for &v in &unknowns[i + 1..] {
-                out.push((Label::Unknown(vec![u, v]), vec![u, v]));
+        for (i, u) in unknowns().enumerate() {
+            let at = self.roots.len();
+            self.roots.push(u);
+            self.labels.push((Label::Unknown(vec![u]), at, at + 1));
+            for v in unknowns().skip(i + 1) {
+                let at = self.roots.len();
+                self.roots.extend([u, v]);
+                self.labels.push((Label::Unknown(vec![u, v]), at, at + 2));
             }
         }
         // async completions
-        for (&g, &st) in &state.gates {
+        for &(g, st) in gates {
             if st == GateSt::Async {
-                if let GateKind::AsyncDone(a) = self.prog.gate(g).kind {
-                    out.push((Label::AsyncDone(a), vec![g]));
+                if let GateKind::AsyncDone(a) = prog.gate(g).kind {
+                    let at = self.roots.len();
+                    self.roots.push(g);
+                    self.labels.push((Label::AsyncDone(a), at, at + 1));
                 }
             }
         }
-        out
     }
 
-    /// Expands one reaction: fires `roots` (or the boot block), abstractly
-    /// executes all paths, and returns the set of possible next states.
-    /// Conflicts found are appended to `dfa.conflicts` with `state` set to
-    /// `usize::MAX` (fixed up by the caller).
+    /// Expands one reaction: fires `roots` (or the boot block) from the
+    /// state `(gates, flags)` and abstractly executes all paths, leaving
+    /// the finished ones in `self.done`. Conflicts found are appended to
+    /// `dfa.conflicts` with `state` set to `usize::MAX` (fixed up by the
+    /// caller).
     fn expand(
-        &self,
-        state: &State,
-        label: Label,
-        roots: Vec<GateId>,
+        &mut self,
+        gates: &[(GateId, GateSt)],
+        flags: &[SlotId],
+        label: &Label,
+        roots: &[GateId],
         boot: Option<BlockId>,
         dfa: &mut Dfa,
-    ) -> Vec<State> {
-        let mut cfg = Config {
-            gates: state.gates.clone(),
-            flags: state.flags.clone(),
-            queue: Vec::new(),
-            accesses: Vec::new(),
-            seen: std::collections::HashSet::new(),
-            groups: Groups::new(),
-            flag_owner: BTreeMap::new(),
-            seq: 0,
-            steps: 0,
-            terminated: false,
-        };
+    ) {
+        let prog = self.prog;
+        let mut cfg = self.pool.pop().unwrap_or_default();
+        cfg.reset(gates, flags);
         // age known deadlines when time passes
-        if let Label::Time { rel, .. } = label {
-            for st in cfg.gates.values_mut() {
+        if let Label::Time { rel, .. } = *label {
+            for (_, st) in &mut cfg.gates {
                 if let GateSt::Time(d) = st {
                     *d -= rel.min(*d);
                 }
             }
         }
         if let Some(b) = boot {
-            let g = cfg.groups.fresh(vec![], 0);
-            push_track(&mut cfg, self.prog, b, g);
+            let g = cfg.groups.fresh([], 0);
+            cfg.push_track(prog, b, g);
         }
-        for root in roots {
-            cfg.gates.remove(&root);
-            let cont = self.prog.gate(root).cont;
-            let g = cfg.groups.fresh(vec![], 0);
-            push_track(&mut cfg, self.prog, cont, g);
+        for &root in roots {
+            cfg.remove_gate(root);
+            let g = cfg.groups.fresh([], 0);
+            cfg.push_track(prog, prog.gate(root).cont, g);
         }
-        let mut done = Vec::new();
         let mut paths = 0usize;
-        self.run(cfg, &mut done, &mut paths, dfa);
-        // collect conflicts per finished path, then map to states
-        let mut out: Vec<State> = Vec::new();
-        for c in done {
-            self.find_conflicts(&c, dfa);
-            let st = State { gates: c.gates, flags: c.flags };
-            if !out.contains(&st) {
-                out.push(st);
-            }
+        self.run(cfg, &mut paths, dfa);
+        let done = mem::take(&mut self.done);
+        for c in &done {
+            self.find_conflicts(c, dfa);
         }
-        out
+        self.done = done;
     }
 
     /// Abstractly drains the track queue of a config, splitting on branches.
-    fn run(&self, mut cfg: Config, done: &mut Vec<Config>, paths: &mut usize, dfa: &mut Dfa) {
+    fn run(&mut self, mut cfg: Config, paths: &mut usize, dfa: &mut Dfa) {
+        let prog = self.prog;
         if *paths >= self.opts.max_paths_per_reaction {
-            dfa.truncated = true;
+            stop(dfa, DfaLimit::MaxPathsPerReaction(self.opts.max_paths_per_reaction));
+            self.pool.push(cfg);
             return;
         }
         loop {
             if cfg.terminated || cfg.queue.is_empty() {
                 *paths += 1;
-                done.push(cfg);
+                self.done.push(cfg);
                 return;
             }
-            let t = pop_track(&mut cfg);
+            let t = cfg.pop_track();
             let mut cur = t.block;
             let mut group = t.group;
             // run one track to its halt, splitting on conditionals
             loop {
                 cfg.steps += 1;
                 if cfg.steps > STEP_LIMIT {
-                    dfa.truncated = true;
+                    stop(dfa, DfaLimit::Steps(STEP_LIMIT));
                     *paths += 1;
-                    done.push(cfg);
+                    self.done.push(cfg);
                     return;
                 }
-                let blk = self.prog.block(cur);
+                let blk = prog.block(cur);
                 let mut emitted = false;
                 for instr in &blk.instrs {
-                    self.exec_abs(&mut cfg, &instr.op, instr.span, group);
+                    self.exec_abs(&mut cfg, instr.op, instr.span, group);
                     emitted = matches!(instr.op, Op::EmitInt { .. });
                 }
-                match &blk.term {
+                match blk.term {
                     Term::Halt => break,
                     Term::Goto(b) => {
                         if emitted {
                             // stack policy: the emitter resumes only after
                             // the awakened trails (queued just above) react
-                            push_track_as(&mut cfg, self.prog, *b, group);
+                            cfg.push_track(prog, b, group);
                             break;
                         }
-                        cur = *b;
+                        cur = b;
                     }
                     Term::If { cond, then_b, else_b } => {
-                        self.reads(&mut cfg, self.prog.expr(*cond), group, Span::default());
+                        self.reads(&mut cfg, prog.expr(cond), group, Span::default());
                         // explore both branches
-                        let mut other = cfg.clone();
-                        push_front_track(&mut other, self.prog, *else_b, group);
-                        self.run(other, done, paths, dfa);
-                        cur = *then_b;
+                        let mut other = self.pool.pop().unwrap_or_default();
+                        other.clone_from(&cfg);
+                        other.push_front_track(prog, else_b, group);
+                        self.run(other, paths, dfa);
+                        cur = then_b;
                     }
                     Term::JoinAnd { lo, hi, cont } => {
                         // flags are tracked exactly, so the join outcome is
                         // deterministic per path
-                        if (*lo..*hi).all(|s| cfg.flags.contains(&s)) {
+                        if (lo..hi).all(|s| cfg.flags.binary_search(&s).is_ok()) {
                             // the continuation is sequenced after *all*
                             // completed arms, not just the last one
-                            let mut parents = vec![group];
-                            for s in *lo..*hi {
-                                if let Some(&g) = cfg.flag_owner.get(&s) {
-                                    if !parents.contains(&g) {
-                                        parents.push(g);
-                                    }
-                                }
-                            }
+                            let owners =
+                                &cfg.flag_owner[key_range(&cfg.flag_owner, |e| e.0, lo, hi)];
                             let phase = cfg.groups.phase(group);
-                            group = cfg.groups.fresh(parents, phase);
-                            cur = *cont;
+                            group = cfg.groups.fresh(
+                                std::iter::once(group).chain(owners.iter().map(|e| e.1)),
+                                phase,
+                            );
+                            cur = cont;
                         } else {
                             break;
                         }
                     }
                     Term::TerminateProgram { value } => {
                         if let Some(v) = value {
-                            self.reads(&mut cfg, self.prog.expr(*v), group, Span::default());
+                            self.reads(&mut cfg, prog.expr(v), group, Span::default());
                         }
                         cfg.gates.clear();
                         cfg.queue.clear();
@@ -534,126 +919,115 @@ impl<'a> Analyzer<'a> {
         }
     }
 
-    fn exec_abs(&self, cfg: &mut Config, op: &Op, span: Span, group: u32) {
+    fn exec_abs(&mut self, cfg: &mut Config, op: Op, span: Span, group: u32) {
+        let prog = self.prog;
         match op {
             Op::Assign { dst, src } => {
-                self.reads(cfg, self.prog.expr(*src), group, span);
+                self.reads(cfg, prog.expr(src), group, span);
                 self.write_place(cfg, dst, group, span);
             }
-            Op::Eval(rv) => self.reads(cfg, self.prog.expr(*rv), group, span),
+            Op::Eval(rv) => self.reads(cfg, prog.expr(rv), group, span),
             Op::ActivateEvt { gate } => {
-                cfg.gates.insert(*gate, GateSt::Event);
-                if let GateKind::Evt(e) = self.prog.gate(*gate).kind {
+                cfg.set_gate(gate, GateSt::Event);
+                if let GateKind::Evt(e) = prog.gate(gate).kind {
                     if self.internal[e.index()] {
-                        record(cfg, AccessKind::AwaitInt(e), group, span);
+                        cfg.record(AccessKind::AwaitInt(e), group, span);
                     }
                 }
             }
             Op::ActivateTime { gate, us } => {
                 let st = match us {
-                    TimeAmount::Const(c) => GateSt::Time(*c),
+                    TimeAmount::Const(c) => GateSt::Time(c),
                     TimeAmount::Dyn(rv) => {
-                        self.reads(cfg, self.prog.expr(*rv), group, span);
+                        self.reads(cfg, prog.expr(rv), group, span);
                         GateSt::TimeUnknown
                     }
                 };
-                cfg.gates.insert(*gate, st);
+                cfg.set_gate(gate, st);
             }
-            Op::ActivateNever { gate } => {
-                cfg.gates.insert(*gate, GateSt::Never);
+            Op::ActivateNever { gate } => cfg.set_gate(gate, GateSt::Never),
+            Op::ActivateAsync { gate, .. } => cfg.set_gate(gate, GateSt::Async),
+            Op::ClearRegion(r) => {
+                let region = prog.region(r);
+                cfg.gates.drain(key_range(&cfg.gates, |e| e.0, region.lo, region.hi));
             }
-            Op::ActivateAsync { gate, .. } => {
-                cfg.gates.insert(*gate, GateSt::Async);
-            }
-            Op::ClearRegion(r) => self.clear_region(cfg, *r),
             Op::Spawn(b) => {
-                let phase = self.prog.block(*b).rank;
-                let child = cfg.groups.fresh(vec![group], phase);
-                push_track(cfg, self.prog, *b, child);
+                let phase = prog.block(b).rank;
+                let child = cfg.groups.fresh([group], phase);
+                cfg.push_track(prog, b, child);
             }
             Op::EmitInt { event, value } => {
                 if let Some(v) = value {
-                    self.reads(cfg, self.prog.expr(*v), group, span);
+                    self.reads(cfg, prog.expr(v), group, span);
                 }
-                record(cfg, AccessKind::EmitInt(*event), group, span);
-                // awaken listeners as children of the emitter (sequenced)
-                let listeners: Vec<GateId> = cfg
-                    .gates
-                    .iter()
-                    .filter(|(&g, &st)| {
-                        st == GateSt::Event && self.prog.gate(g).kind == GateKind::Evt(*event)
-                    })
-                    .map(|(&g, _)| g)
-                    .collect();
-                for l in listeners {
-                    cfg.gates.remove(&l);
-                    let cont = self.prog.gate(l).cont;
-                    let child = cfg.groups.fresh(vec![group], cfg.groups.phase(group));
-                    push_track(cfg, self.prog, cont, child);
+                cfg.record(AccessKind::EmitInt(event), group, span);
+                // awaken listeners as children of the emitter (sequenced),
+                // in ascending gate order
+                for g in prog.gates_of_event(event) {
+                    if let Ok(i) = cfg.gates.binary_search_by_key(&g, |e| e.0) {
+                        if cfg.gates[i].1 == GateSt::Event {
+                            cfg.gates.remove(i);
+                            let child = cfg.groups.fresh([group], cfg.groups.phase(group));
+                            cfg.push_track(prog, prog.gate(g).cont, child);
+                        }
+                    }
                 }
             }
             Op::EmitOut { event, value } => {
                 if let Some(v) = value {
-                    self.reads(cfg, self.prog.expr(*v), group, span);
+                    self.reads(cfg, prog.expr(v), group, span);
                 }
-                record(cfg, AccessKind::EmitOut(*event), group, span);
+                cfg.record(AccessKind::EmitOut(event), group, span);
             }
             // async-only instructions: bodies are globally asynchronous and
             // excluded from the local-determinism analysis (§2.9)
             Op::EmitExt { .. } | Op::EmitTime(_) => {}
             Op::SetFlag(s) => {
-                cfg.flags.insert(*s);
-                cfg.flag_owner.insert(*s, group);
-            }
-            Op::ClearFlags { lo, hi } => {
-                for s in *lo..*hi {
-                    cfg.flags.remove(&s);
+                if let Err(i) = cfg.flags.binary_search(&s) {
+                    cfg.flags.insert(i, s);
+                }
+                match cfg.flag_owner.binary_search_by_key(&s, |e| e.0) {
+                    Ok(i) => cfg.flag_owner[i].1 = group,
+                    Err(i) => cfg.flag_owner.insert(i, (s, group)),
                 }
             }
+            Op::ClearFlags { lo, hi } => {
+                cfg.flags.drain(key_range(&cfg.flags, |&s| s, lo, hi));
+            }
         }
     }
 
-    fn clear_region(&self, cfg: &mut Config, r: RegionId) {
-        let region = self.prog.region(r);
-        let doomed: Vec<GateId> =
-            cfg.gates.keys().copied().filter(|g| (region.lo..region.hi).contains(g)).collect();
-        for g in doomed {
-            cfg.gates.remove(&g);
-        }
-    }
-
-    fn write_place(&self, cfg: &mut Config, place: &Place, group: u32, span: Span) {
+    fn write_place(&mut self, cfg: &mut Config, place: Place, group: u32, span: Span) {
+        let prog = self.prog;
         match place {
-            Place::Slot(s) => self.var_access(cfg, *s, true, group, span),
+            Place::Slot(s) => {
+                let v = self.var(s);
+                cfg.record(AccessKind::VarWrite(v), group, span);
+            }
             Place::Index(s, idx) => {
-                self.reads(cfg, self.prog.expr(*idx), group, span);
-                self.var_access(cfg, *s, true, group, span);
+                self.reads(cfg, prog.expr(idx), group, span);
+                let v = self.var(s);
+                cfg.record(AccessKind::VarWrite(v), group, span);
             }
             Place::Deref(rv) => {
-                self.reads(cfg, self.prog.expr(*rv), group, span);
-                record(cfg, AccessKind::VarWrite("*<pointer>".into()), group, span);
+                self.reads(cfg, prog.expr(rv), group, span);
+                cfg.record(AccessKind::VarWrite(self.pointer), group, span);
             }
         }
     }
 
-    fn var_access(&self, cfg: &mut Config, slot: SlotId, write: bool, group: u32, span: Span) {
-        let name = self
-            .slot_name
-            .get(slot as usize)
-            .and_then(|n| n.clone())
-            .unwrap_or_else(|| format!("slot{slot}"));
-        let kind = if write { AccessKind::VarWrite(name) } else { AccessKind::VarRead(name) };
-        record(cfg, kind, group, span);
-    }
-
-    fn reads(&self, cfg: &mut Config, rv: &Rv, group: u32, span: Span) {
-        let mut stack = vec![rv];
+    fn reads(&mut self, cfg: &mut Config, rv: &'a Rv, group: u32, span: Span) {
+        let mut stack = mem::take(&mut self.rv_stack);
+        stack.push(rv);
         while let Some(r) = stack.pop() {
             match r {
-                Rv::Slot(s) | Rv::AddrOf(s) => self.var_access(cfg, *s, false, group, span),
+                Rv::Slot(s) | Rv::AddrOf(s) => {
+                    let v = self.var(*s);
+                    cfg.record(AccessKind::VarRead(v), group, span);
+                }
                 Rv::Un(_, a) | Rv::Cast(a) | Rv::Field(a, _, _) => stack.push(a),
                 Rv::Deref(a) => {
-                    record(cfg, AccessKind::VarRead("*<pointer>".into()), group, span);
+                    cfg.record(AccessKind::VarRead(self.pointer), group, span);
                     stack.push(a);
                 }
                 Rv::Bin(_, a, b) | Rv::Index(a, b) => {
@@ -661,124 +1035,83 @@ impl<'a> Analyzer<'a> {
                     stack.push(b);
                 }
                 Rv::CCall(name, args) => {
-                    record(cfg, AccessKind::CCall(name.clone()), group, span);
-                    for a in args {
-                        stack.push(a);
-                    }
+                    let f = self.function(name);
+                    cfg.record(AccessKind::CCall(f), group, span);
+                    stack.extend(args);
                 }
                 _ => {}
             }
         }
+        self.rv_stack = stack;
     }
 
     /// Pairwise conflict check over the accesses of one finished path.
-    fn find_conflicts(&self, cfg: &Config, dfa: &mut Dfa) {
+    fn find_conflicts(&mut self, cfg: &Config, dfa: &mut Dfa) {
         let acc = &cfg.accesses;
-        for i in 0..acc.len() {
-            for j in i + 1..acc.len() {
-                let (a, b) = (&acc[i], &acc[j]);
-                if a.group == b.group
-                    || cfg.groups.phase(a.group) != cfg.groups.phase(b.group)
-                    || cfg.groups.related(a.group, b.group)
-                {
-                    continue;
-                }
-                let conflict = match (&a.kind, &b.kind) {
+        for (i, a) in acc.iter().enumerate() {
+            for b in &acc[i + 1..] {
+                let kind = match (a.kind, b.kind) {
                     (AccessKind::VarWrite(x), AccessKind::VarWrite(y))
                     | (AccessKind::VarWrite(x), AccessKind::VarRead(y))
                     | (AccessKind::VarRead(x), AccessKind::VarWrite(y))
                         if x == y =>
                     {
-                        Some((ConflictKind::Variable, format!("`{}`", strip(x))))
+                        ConflictKind::Variable
                     }
-                    (AccessKind::EmitOut(x), AccessKind::EmitOut(y)) if x == y => Some((
-                        ConflictKind::InternalEvent,
-                        format!("`{}` (output)", self.prog.events.get(*x).name),
-                    )),
-                    (AccessKind::EmitInt(x), AccessKind::EmitInt(y))
+                    (AccessKind::EmitOut(x), AccessKind::EmitOut(y))
+                    | (AccessKind::EmitInt(x), AccessKind::EmitInt(y))
                     | (AccessKind::EmitInt(x), AccessKind::AwaitInt(y))
                     | (AccessKind::AwaitInt(x), AccessKind::EmitInt(y))
                         if x == y =>
                     {
-                        Some((
-                            ConflictKind::InternalEvent,
-                            format!("`{}`", self.prog.events.get(*x).name),
-                        ))
+                        ConflictKind::InternalEvent
                     }
-                    (AccessKind::CCall(f), AccessKind::CCall(g))
-                        if self.opts.check_ccalls && !self.prog.annotations.compatible(f, g) =>
-                    {
-                        Some((ConflictKind::CCall, format!("`_{f}` and `_{g}`")))
+                    (AccessKind::CCall(_), AccessKind::CCall(_)) if self.opts.check_ccalls => {
+                        ConflictKind::CCall
                     }
-                    _ => None,
+                    _ => continue,
                 };
-                if let Some((kind, what)) = conflict {
-                    dfa.conflicts.push(Conflict {
-                        kind,
-                        what,
-                        spans: (a.span, b.span),
-                        state: usize::MAX,
-                        label: Label::Boot,
-                    });
+                let groups = &cfg.groups;
+                if a.group == b.group
+                    || groups.phase(a.group) != groups.phase(b.group)
+                    || groups.related(a.group, b.group, &mut self.group_stack)
+                {
+                    continue;
                 }
+                let what = match (a.kind, b.kind) {
+                    (AccessKind::VarWrite(x) | AccessKind::VarRead(x), _) => {
+                        format!("`{}`", strip(&self.var_names[x as usize]))
+                    }
+                    (AccessKind::EmitOut(x), _) => {
+                        format!("`{}` (output)", self.prog.events.get(x).name)
+                    }
+                    (AccessKind::EmitInt(x) | AccessKind::AwaitInt(x), _) => {
+                        format!("`{}`", self.prog.events.get(x).name)
+                    }
+                    (AccessKind::CCall(f), AccessKind::CCall(g)) => {
+                        let (f, g) = (self.fn_names[f as usize], self.fn_names[g as usize]);
+                        if self.prog.annotations.compatible(f, g) {
+                            continue;
+                        }
+                        format!("`_{f}` and `_{g}`")
+                    }
+                    (AccessKind::CCall(_), _) => unreachable!("C calls pair only with C calls"),
+                };
+                dfa.conflicts.push(Conflict {
+                    kind,
+                    what,
+                    spans: (a.span, b.span),
+                    state: usize::MAX,
+                    label: Label::Boot,
+                });
             }
         }
-    }
-}
-
-/// Records an access once per (kind, group) within a reaction path.
-fn record(cfg: &mut Config, kind: AccessKind, group: u32, span: Span) {
-    if cfg.seen.insert((kind.clone(), group)) {
-        cfg.accesses.push(Access { kind, group, span });
     }
 }
 
 /// Strips the alpha-renaming suffix for display (`v#3` → `v`).
 fn strip(unique: &str) -> &str {
     unique.split('#').next().unwrap_or(unique)
-}
-
-fn push_track(cfg: &mut Config, prog: &CompiledProgram, block: BlockId, group: u32) {
-    cfg.seq += 1;
-    cfg.queue.push(QTrack { rank: prog.block(block).rank, seq: cfg.seq, block, group });
-}
-
-/// Used for emit-awakened trails: they run before previously queued tracks
-/// (stack policy approximation).
-fn push_front_track(cfg: &mut Config, prog: &CompiledProgram, block: BlockId, group: u32) {
-    cfg.queue.insert(0, QTrack { rank: prog.block(block).rank, seq: 0, block, group });
-}
-
-/// Enqueues a continuation keeping the given group (emitter resumption).
-fn push_track_as(cfg: &mut Config, prog: &CompiledProgram, block: BlockId, group: u32) {
-    cfg.seq += 1;
-    cfg.queue.push(QTrack { rank: prog.block(block).rank, seq: cfg.seq, block, group });
-}
-
-fn pop_track(cfg: &mut Config) -> QTrack {
-    let mut best = 0;
-    for i in 1..cfg.queue.len() {
-        if (cfg.queue[i].rank, cfg.queue[i].seq) < (cfg.queue[best].rank, cfg.queue[best].seq) {
-            best = i;
-        }
-    }
-    cfg.queue.remove(best)
-}
-
-fn intern(
-    dfa: &mut Dfa,
-    interned: &mut HashMap<State, usize>,
-    work: &mut VecDeque<usize>,
-    st: State,
-) -> usize {
-    if let Some(&i) = interned.get(&st) {
-        return i;
-    }
-    let i = dfa.states.len();
-    dfa.states.push(st.clone());
-    interned.insert(st, i);
-    work.push_back(i);
-    i
 }
 
 fn dedup_conflicts(conflicts: &mut Vec<Conflict>) {
@@ -805,7 +1138,7 @@ pub fn to_dot(dfa: &Dfa, prog: &CompiledProgram) -> String {
     let conflict_states: BTreeSet<usize> = dfa.conflicts.iter().map(|c| c.state).collect();
     for (i, s) in dfa.states.iter().enumerate() {
         let mut label = format!("DFA #{i}\\n");
-        for (&g, st) in &s.gates {
+        for (&g, st) in s.gates.iter() {
             let gi = prog.gate(g);
             let what = match gi.kind {
                 GateKind::Evt(e) => format!("await {}", prog.events.get(e).name),

@@ -9,8 +9,8 @@ pub mod flowgraph;
 
 pub use bounded::{check_bounded, TightLoop};
 pub use dfa::{
-    analyze, check_determinism, Conflict, ConflictKind, Dfa, DfaOptions, GateSt, Label, State,
-    Trans,
+    analyze, check_determinism, Conflict, ConflictKind, Dfa, DfaLimit, DfaOptions, GateSt, Label,
+    State, Trans,
 };
 
 #[cfg(test)]

@@ -53,12 +53,15 @@ fn main() {
                 tracks = p.blocks.len().to_string();
                 gates = p.gates.len().to_string();
                 states = dfa.states.len().to_string();
-                if dfa.deterministic() {
-                    verdict = "ok".to_string();
-                    accepted += 1;
-                } else {
+                if !dfa.deterministic() {
                     verdict = format!("nondet ({})", dfa.conflicts.len());
                     rejected += 1;
+                } else if dfa.truncated {
+                    verdict = "incomplete".to_string();
+                    rejected += 1;
+                } else {
+                    verdict = "ok".to_string();
+                    accepted += 1;
                 }
             }
             Err(Error::Unbounded(_)) => {

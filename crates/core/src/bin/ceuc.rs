@@ -211,6 +211,12 @@ fn run(args: &[String]) -> Result<ExitCode, String> {
             for c in &dfa.conflicts {
                 eprintln!("{c}");
             }
+            if let Some(limit) = dfa.limit {
+                eprintln!(
+                    "note: DFA truncated at {limit} after {} states; the graph is a prefix",
+                    dfa.states.len()
+                );
+            }
             println!("{}", ceu::analysis::dfa::to_dot(&dfa, &p));
             Ok(ExitCode::SUCCESS)
         }

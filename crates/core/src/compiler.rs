@@ -1,6 +1,6 @@
 //! The compilation pipeline.
 
-use ceu_analysis::{Conflict, DfaOptions, TightLoop};
+use ceu_analysis::{Conflict, DfaLimit, DfaOptions, TightLoop};
 use ceu_codegen::CompiledProgram;
 use std::fmt;
 
@@ -14,6 +14,13 @@ pub enum Error {
     Lower(ceu_codegen::CompileError),
     /// Sources of nondeterminism found by the temporal analysis (§2.6).
     Nondeterministic(Vec<Conflict>),
+    /// The temporal analysis hit one of its limits before exploring every
+    /// state, so determinism is not established. Its explored prefix had
+    /// no conflict.
+    AnalysisIncomplete {
+        limit: DfaLimit,
+        states_explored: usize,
+    },
 }
 
 impl fmt::Display for Error {
@@ -40,6 +47,11 @@ impl fmt::Display for Error {
                 }
                 Ok(())
             }
+            Error::AnalysisIncomplete { limit, states_explored } => write!(
+                f,
+                "analysis incomplete: the temporal analysis stopped at {limit} after \
+                 {states_explored} DFA states, so determinism is not established"
+            ),
         }
     }
 }
@@ -105,23 +117,19 @@ impl Compiler {
         Compiler::with_options(CompileOptions { optimize: false, ..CompileOptions::default() })
     }
 
-    /// Runs the full pipeline.
+    /// Runs the full pipeline. A program is refused when the temporal
+    /// analysis finds a conflict, and also when it stops at a limit
+    /// ([`Error::AnalysisIncomplete`]): a conflict-free prefix of the DFA
+    /// does not establish determinism.
     pub fn compile(&self, src: &str) -> Result<CompiledProgram, Error> {
-        let mut ast = ceu_parser::parse(src).map_err(Error::Parse)?;
-        ceu_ast::desugar(&mut ast);
-        ceu_ast::number(&mut ast);
-        if self.options.check_bounded {
-            let tight = ceu_analysis::check_bounded(&ast);
-            if !tight.is_empty() {
-                return Err(Error::Unbounded(tight));
-            }
-        }
-        let resolved = ceu_ast::resolve::resolve(ast).map_err(Error::Resolve)?;
-        let mut prog = ceu_codegen::compile(&resolved).map_err(Error::Lower)?;
+        let mut prog = self.lower(src)?;
         if self.options.check_determinism {
             let dfa = ceu_analysis::analyze(&prog, &self.options.dfa);
             if !dfa.conflicts.is_empty() {
                 return Err(Error::Nondeterministic(dfa.conflicts));
+            }
+            if let Some(limit) = dfa.limit {
+                return Err(Error::AnalysisIncomplete { limit, states_explored: dfa.states.len() });
             }
         }
         if self.options.optimize {
@@ -131,9 +139,17 @@ impl Compiler {
     }
 
     /// Runs the pipeline up to the temporal analysis and returns the DFA
-    /// (even for nondeterministic programs — used for diagnostics and the
-    /// Figure-2 reproduction).
+    /// (even for nondeterministic programs and incomplete analyses — used
+    /// for diagnostics and the Figure-2 reproduction).
     pub fn analyze(&self, src: &str) -> Result<(CompiledProgram, ceu_analysis::Dfa), Error> {
+        let prog = self.lower(src)?;
+        let dfa = ceu_analysis::analyze(&prog, &self.options.dfa);
+        Ok((prog, dfa))
+    }
+
+    /// The stages before the temporal analysis: parse, desugar, number,
+    /// the bounded check (when enabled), resolve and lower.
+    fn lower(&self, src: &str) -> Result<CompiledProgram, Error> {
         let mut ast = ceu_parser::parse(src).map_err(Error::Parse)?;
         ceu_ast::desugar(&mut ast);
         ceu_ast::number(&mut ast);
@@ -144,9 +160,7 @@ impl Compiler {
             }
         }
         let resolved = ceu_ast::resolve::resolve(ast).map_err(Error::Resolve)?;
-        let prog = ceu_codegen::compile(&resolved).map_err(Error::Lower)?;
-        let dfa = ceu_analysis::analyze(&prog, &self.options.dfa);
-        Ok((prog, dfa))
+        ceu_codegen::compile(&resolved).map_err(Error::Lower)
     }
 }
 

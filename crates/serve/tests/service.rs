@@ -136,6 +136,26 @@ fn compile_errors_are_rejected_at_admission() {
 }
 
 #[test]
+fn incomplete_temporal_analysis_is_rejected_at_admission() {
+    // two loops writing `v` collide only on occurrence 23,707 of `A`,
+    // past the DFA's state limit: the checked pipeline cannot certify it
+    let awaits = |k: usize| "  await A;\n".repeat(k);
+    let src = format!(
+        "input void A;\nint v;\npar do\n loop do\n{}  v = 1;\n end\nwith\n loop do\n{}  v = 2;\n end\nend\n",
+        awaits(151),
+        awaits(157)
+    );
+    let svc = SessionService::start(ServeConfig::default());
+    match svc.open_session(&src) {
+        Err(AdmitError::CompileError { message, .. }) => {
+            assert!(message.contains("analysis incomplete"), "{message}")
+        }
+        other => panic!("expected an incomplete-analysis refusal, got {other:?}"),
+    }
+    assert!(svc.open_session_unchecked(&src).is_ok());
+}
+
+#[test]
 fn runaway_is_fuel_evicted_and_neighbours_survive() {
     let cfg = ServeConfig { fuel_limit: Some(10_000), workers: 2, ..ServeConfig::default() };
     let svc = SessionService::start(cfg);
