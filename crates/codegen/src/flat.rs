@@ -81,6 +81,9 @@ pub struct FlatPool {
     /// Maximum of `depths`: the operand-stack reserve that makes every
     /// expression in the program evaluable without reallocation.
     pub max_stack: u32,
+    /// Per-[`ExprId`] `is_int_only` class, computed at intern time: the
+    /// runtime tries these on its `i64` fast path first.
+    pub int_only: Vec<bool>,
 }
 
 impl FlatPool {
@@ -95,6 +98,7 @@ impl FlatPool {
         let depth = stack_depth(&self.code[start as usize..]);
         self.depths.push(depth);
         self.max_stack = self.max_stack.max(depth);
+        self.int_only.push(is_int_only(&self.code[start as usize..]));
         id
     }
 
@@ -113,6 +117,27 @@ impl FlatPool {
     pub fn is_empty(&self) -> bool {
         self.ranges.is_empty()
     }
+}
+
+/// `true` when a flat expression is pure integer arithmetic over slots,
+/// constants and event values — the shape both the interpreter's `i64`
+/// fast path and the Rust backend's register code handle. Operand types
+/// are only known at run time, so an int-only expression may still meet
+/// a string, pointer or `null` in a slot; both fast paths then fall back
+/// to the general `Value` evaluation. Anything touching strings,
+/// pointers, memory or the host is never int-only.
+pub(crate) fn is_int_only(code: &[FlatOp]) -> bool {
+    code.iter().all(|op| match op {
+        FlatOp::Const(_)
+        | FlatOp::Slot(_)
+        | FlatOp::EventVal(_)
+        | FlatOp::Truthy
+        | FlatOp::ShortAnd(_)
+        | FlatOp::ShortOr(_) => true,
+        FlatOp::Un(op) => !matches!(op, UnOp::Addr | UnOp::Deref),
+        FlatOp::Bin(op) => !matches!(op, BinOp::And | BinOp::Or),
+        _ => false,
+    })
 }
 
 /// Maximum operand-stack depth reached while evaluating `code`.
@@ -273,6 +298,23 @@ mod tests {
         let mut p = FlatPool::default();
         let id = p.intern(&Rv::CCall("f".into(), vec![Rv::Const(1), Rv::Const(2), Rv::Const(3)]));
         assert_eq!(p.depths[id as usize], 3);
+    }
+
+    #[test]
+    fn int_only_is_classified_at_intern_time() {
+        let mut p = FlatPool::default();
+        // -s0 && 1 / s1: short-circuit jumps and a division stay int-only
+        p.intern(&Rv::Bin(
+            BinOp::And,
+            Box::new(Rv::Un(UnOp::Neg, Box::new(Rv::Slot(0)))),
+            Box::new(Rv::Bin(BinOp::Div, Box::new(Rv::Const(1)), Box::new(Rv::Slot(1)))),
+        ));
+        p.intern(&Rv::Bin(BinOp::Eq, Box::new(Rv::Slot(0)), Box::new(Rv::Str("a".into()))));
+        p.intern(&Rv::Null);
+        p.intern(&Rv::CCall("f".into(), vec![]));
+        p.intern(&Rv::Bin(BinOp::Add, Box::new(Rv::AddrOf(0)), Box::new(Rv::Const(1))));
+        p.intern(&Rv::Deref(Box::new(Rv::Slot(0))));
+        assert_eq!(p.int_only, vec![true, false, false, false, false, false]);
     }
 
     #[test]

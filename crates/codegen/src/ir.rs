@@ -369,14 +369,17 @@ const _: () = {
 };
 
 impl CompiledProgram {
+    #[inline]
     pub fn block(&self, id: BlockId) -> &BBlock {
         &self.blocks[id as usize]
     }
 
+    #[inline]
     pub fn gate(&self, id: GateId) -> &GateInfo {
         &self.gates[id as usize]
     }
 
+    #[inline]
     pub fn region(&self, id: RegionId) -> &RegionInfo {
         &self.regions[id as usize]
     }

@@ -130,7 +130,7 @@ impl NativeCtx<'_> {
         let i = idx.as_int().ok_or_else(|| RuntimeError::new(span, "index must be an integer"))?;
         match base {
             Value::Ptr(Ptr::Data(a)) => {
-                let at = a as i64 + i;
+                let at = (a as i64).wrapping_add(i);
                 self.data
                     .get(at as usize)
                     .cloned()
@@ -164,7 +164,7 @@ impl NativeCtx<'_> {
     #[inline]
     pub fn store_index(&mut self, s: u32, idx: Value, v: Value, span: Span) -> Result<()> {
         let i = idx.as_int().ok_or_else(|| RuntimeError::new(span, "index must be an integer"))?;
-        let at = s as i64 + i;
+        let at = (s as i64).wrapping_add(i);
         let slot = self
             .data
             .get_mut(at as usize)
@@ -230,6 +230,50 @@ pub fn time_value(v: Value, span: Span) -> Result<u64> {
     Ok(n.max(0) as u64)
 }
 
+/// The integer operator table: the one definition of every operator on
+/// two (or one) `i64` operands, shared by [`bin_op`]/[`un_op`], the flat
+/// interpreter's integer fast path and, through `bin_op`, emitted native
+/// code. `None` means "not an integer result": division or modulo by
+/// zero (the caller raises the error on its general path) and operators
+/// outside the table (`&&`/`||`, which compile to short-circuit jumps).
+#[inline(always)]
+pub fn int_bin(op: BinOp, x: i64, y: i64) -> Option<i64> {
+    use BinOp::*;
+    Some(match op {
+        Add => x.wrapping_add(y),
+        Sub => x.wrapping_sub(y),
+        Mul => x.wrapping_mul(y),
+        Div if y != 0 => x.wrapping_div(y),
+        Mod if y != 0 => x.wrapping_rem(y),
+        Lt => (x < y) as i64,
+        Gt => (x > y) as i64,
+        Le => (x <= y) as i64,
+        Ge => (x >= y) as i64,
+        // `c_eq` on two ints is plain equality
+        Eq => (x == y) as i64,
+        Ne => (x != y) as i64,
+        BitAnd => x & y,
+        BitOr => x | y,
+        BitXor => x ^ y,
+        Shl => x.wrapping_shl(y as u32),
+        Shr => x.wrapping_shr(y as u32),
+        Div | Mod | And | Or => return None,
+    })
+}
+
+/// The unary half of [`int_bin`]. `None` for `&`/`*`, which the lowering
+/// resolves before any expression is evaluated.
+#[inline(always)]
+pub fn int_un(op: UnOp, x: i64) -> Option<i64> {
+    Some(match op {
+        UnOp::Not => (x == 0) as i64,
+        UnOp::Neg => x.wrapping_neg(),
+        UnOp::Plus => x,
+        UnOp::BitNot => !x,
+        UnOp::Addr | UnOp::Deref => return None,
+    })
+}
+
 /// Unary operator semantics — the single definition shared by the flat
 /// interpreter, the tree-eval oracle, and emitted native code. Like
 /// [`bin_op`], the integer fast path is forced inline and everything
@@ -237,34 +281,27 @@ pub fn time_value(v: Value, span: Span) -> Result<u64> {
 #[inline(always)]
 pub fn un_op(op: UnOp, v: Value, span: Span) -> Result<Value> {
     if let Value::Int(x) = v {
-        let v = match op {
-            UnOp::Not => (x == 0) as i64,
-            UnOp::Neg => x.wrapping_neg(),
-            UnOp::Plus => x,
-            UnOp::BitNot => !x,
-            UnOp::Addr | UnOp::Deref => return un_op_slow(op, v, span),
-        };
-        return Ok(Value::Int(v));
+        if let Some(r) = int_un(op, x) {
+            return Ok(Value::Int(r));
+        }
     }
     un_op_slow(op, v, span)
 }
 
 /// The non-integer cases of [`un_op`] (truthiness of pointers/strings,
-/// every error).
+/// `null` coerced to 0, every error).
 #[cold]
 fn un_op_slow(op: UnOp, v: Value, span: Span) -> Result<Value> {
-    let int = |v: &Value| {
-        v.as_int().ok_or_else(|| RuntimeError::new(span, format!("expected integer, got {v}")))
-    };
-    Ok(match op {
-        UnOp::Not => Value::Int(!v.truthy() as i64),
-        UnOp::Neg => Value::Int(-int(&v)?),
-        UnOp::Plus => Value::Int(int(&v)?),
-        UnOp::BitNot => Value::Int(!int(&v)?),
+    let x = match op {
+        UnOp::Not => return Ok(Value::Int(!v.truthy() as i64)),
         UnOp::Addr | UnOp::Deref => {
             return Err(RuntimeError::new(span, "internal error: unlowered &/*"))
         }
-    })
+        _ => v
+            .as_int()
+            .ok_or_else(|| RuntimeError::new(span, format!("expected integer, got {v}")))?,
+    };
+    Ok(Value::Int(int_un(op, x).expect("`&`/`*` handled above")))
 }
 
 /// Binary operator semantics — wrapping integer arithmetic, C equality
@@ -272,52 +309,32 @@ fn un_op_slow(op: UnOp, v: Value, span: Span) -> Result<Value> {
 /// errors. The single definition shared by the flat interpreter, the
 /// tree-eval oracle, and emitted native code.
 ///
-/// The int×int fast path is forced inline — emitted code calls this with
-/// a constant `op`, so after inlining each call collapses to one machine
-/// instruction — while the pointer/equality/error cases stay out of line
-/// (`#[cold]`): their `format!` machinery is what made LLVM refuse to
-/// inline the original single-body version at every generated call site.
+/// The int×int fast path ([`int_bin`]) is forced inline — emitted code
+/// calls this with a constant `op`, so after inlining each call collapses
+/// to one machine instruction — while the pointer/equality/error cases
+/// stay out of line (`#[cold]`): their `format!` machinery is what made
+/// LLVM refuse to inline the original single-body version at every
+/// generated call site.
 #[inline(always)]
 pub fn bin_op(op: BinOp, a: Value, b: Value, span: Span) -> Result<Value> {
-    use BinOp::*;
     if let (Value::Int(x), Value::Int(y)) = (&a, &b) {
-        let (x, y) = (*x, *y);
-        let v = match op {
-            Add => x.wrapping_add(y),
-            Sub => x.wrapping_sub(y),
-            Mul => x.wrapping_mul(y),
-            // division by zero errors on the slow path
-            Div if y != 0 => x.wrapping_div(y),
-            Mod if y != 0 => x.wrapping_rem(y),
-            Lt => (x < y) as i64,
-            Gt => (x > y) as i64,
-            Le => (x <= y) as i64,
-            Ge => (x >= y) as i64,
-            // `c_eq` on two ints is plain equality
-            Eq => (x == y) as i64,
-            Ne => (x != y) as i64,
-            BitAnd => x & y,
-            BitOr => x | y,
-            BitXor => x ^ y,
-            Shl => x.wrapping_shl(y as u32),
-            Shr => x.wrapping_shr(y as u32),
-            _ => return bin_op_slow(op, a, b, span),
-        };
-        return Ok(Value::Int(v));
+        if let Some(v) = int_bin(op, *x, *y) {
+            return Ok(Value::Int(v));
+        }
     }
     bin_op_slow(op, a, b, span)
 }
 
 /// The non-int×int cases of [`bin_op`]: pointer offsetting, C equality
-/// against null/strings, and every error.
+/// against null/strings, `null` coerced to 0, and every error.
 #[cold]
 fn bin_op_slow(op: BinOp, a: Value, b: Value, span: Span) -> Result<Value> {
     use BinOp::*;
     // pointer arithmetic: data pointers offset by integers
     if let (Value::Ptr(Ptr::Data(base)), Value::Int(i)) = (&a, &b) {
         match op {
-            Add => return Ok(Value::Ptr(Ptr::Data((*base as i64 + i) as usize))),
-            Sub => return Ok(Value::Ptr(Ptr::Data((*base as i64 - i) as usize))),
+            Add => return Ok(Value::Ptr(Ptr::Data((*base as i64).wrapping_add(*i) as usize))),
+            Sub => return Ok(Value::Ptr(Ptr::Data((*base as i64).wrapping_sub(*i) as usize))),
             _ => {}
         }
     }
@@ -335,34 +352,12 @@ fn bin_op_slow(op: BinOp, a: Value, b: Value, span: Span) -> Result<Value> {
             ))
         }
     };
-    let v = match op {
-        Add => x.wrapping_add(y),
-        Sub => x.wrapping_sub(y),
-        Mul => x.wrapping_mul(y),
-        Div => {
-            if y == 0 {
-                return Err(RuntimeError::new(span, "division by zero"));
-            }
-            x.wrapping_div(y)
-        }
-        Mod => {
-            if y == 0 {
-                return Err(RuntimeError::new(span, "modulo by zero"));
-            }
-            x.wrapping_rem(y)
-        }
-        Lt => (x < y) as i64,
-        Gt => (x > y) as i64,
-        Le => (x <= y) as i64,
-        Ge => (x >= y) as i64,
-        BitAnd => x & y,
-        BitOr => x | y,
-        BitXor => x ^ y,
-        Shl => x.wrapping_shl(y as u32),
-        Shr => x.wrapping_shr(y as u32),
-        And | Or | Eq | Ne => unreachable!("handled above"),
-    };
-    Ok(Value::Int(v))
+    match (op, int_bin(op, x, y)) {
+        (_, Some(v)) => Ok(Value::Int(v)),
+        (Div, None) => Err(RuntimeError::new(span, "division by zero")),
+        (Mod, None) => Err(RuntimeError::new(span, "modulo by zero")),
+        _ => unreachable!("`&&`/`||` compile to short-circuit jumps"),
+    }
 }
 
 #[cfg(test)]

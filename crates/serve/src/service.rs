@@ -236,7 +236,10 @@ pub struct ServeStats {
     pub peak_resident: usize,
     /// Worker threads that died (must stay 0 — isolation is the point).
     pub worker_deaths: u64,
-    /// Per-message processing latency, ns.
+    /// Per-message processing latency, ns: one sample per message a
+    /// worker ran (boots included), measured between consecutive clock
+    /// reads at the message boundaries of an epoch — the reaction plus
+    /// the epoch's per-message bookkeeping, not mailbox wait.
     pub reaction_ns: Histogram,
     pub cache: CacheStats,
 }
@@ -540,13 +543,31 @@ impl SessionService {
     }
 
     fn enqueue(&self, id: SessionId, msg: Msg) -> Result<(), SendError> {
-        let cfg = &self.inner.cfg;
-        let mut st = self.inner.lock();
+        let st = self.inner.lock();
         if st.draining {
             return Err(SendError::Draining);
         }
+        self.enqueue_locked(st, id, |_| Ok(msg))
+    }
+
+    /// Queues the message `make` builds for session `id`, under the lock
+    /// the caller took. `make` sees the session (to resolve an event name
+    /// against its program) before the drain and state checks, so the
+    /// refusal precedence is: `UnknownSession`, then whatever `make`
+    /// refuses with, then `Draining`, `Terminated`/`Quarantined`, `Shed`.
+    fn enqueue_locked(
+        &self,
+        mut st: MutexGuard<'_, State>,
+        id: SessionId,
+        make: impl FnOnce(&Session) -> Result<Msg, SendError>,
+    ) -> Result<(), SendError> {
+        let cfg = &self.inner.cfg;
         // Two-phase borrow: decide, then mutate counters.
         let sess = st.sessions.get(&id.0).ok_or(SendError::UnknownSession)?;
+        let msg = make(sess)?;
+        if st.draining {
+            return Err(SendError::Draining);
+        }
         match &sess.state {
             SessionState::Running => {}
             SessionState::Terminated(_) => return Err(SendError::Terminated),
@@ -579,22 +600,19 @@ impl SessionService {
 
     /// Queues an external event for the session. The event name is
     /// resolved against the session's program at the edge; junk names are
-    /// refused here and never reach the machine.
+    /// refused here and never reach the machine. One critical section
+    /// covers the lookup and the enqueue.
     pub fn send_event(
         &self,
         id: SessionId,
         event: &str,
         value: Option<Value>,
     ) -> Result<(), SendError> {
-        let event_id = {
-            let st = self.inner.lock();
-            let sess = st.sessions.get(&id.0).ok_or(SendError::UnknownSession)?;
-            match sess.prog.events.lookup(event) {
-                Some(eid) if sess.prog.events.get(eid).external() => eid,
-                _ => return Err(SendError::UnknownEvent(event.to_string())),
-            }
-        };
-        self.enqueue(id, Msg::Event(event_id, value))
+        let st = self.inner.lock();
+        self.enqueue_locked(st, id, |sess| match sess.prog.events.lookup(event) {
+            Some(eid) if sess.prog.events.get(eid).external() => Ok(Msg::Event(eid, value)),
+            _ => Err(SendError::UnknownEvent(event.to_string())),
+        })
     }
 
     /// Queues a session-clock advance of `delta_us` µs (timers fire as
@@ -830,10 +848,14 @@ fn run_epoch(cfg: &ServeConfig, mut rt: Box<SessionRt>, msgs: &[Msg]) -> EpochOu
         reactions: 0,
         now_us: 0,
     };
+    // One clock read per message boundary: a message's latency is the
+    // gap between consecutive reads.
+    let mut t0 = Instant::now();
     for msg in msgs {
-        let t0 = Instant::now();
         let res = catch_unwind(AssertUnwindSafe(|| apply_msg(&mut rt, msg)));
-        out.latencies_ns.push(t0.elapsed().as_nanos() as u64);
+        let t1 = Instant::now();
+        out.latencies_ns.push(t1.duration_since(t0).as_nanos() as u64);
+        t0 = t1;
         match res {
             Ok(Ok(())) => {
                 if msg.counts_against_queues() {
@@ -1000,5 +1022,52 @@ fn worker_loop(inner: &Inner) {
         // Wakes both drain() (global quiescence) and settle() waiters
         // (watching one session); each re-checks its own predicate.
         inner.quiesced.notify_all();
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// The refusal precedence of `send_event` (`UnknownSession`,
+    /// `UnknownEvent`, `Draining`, `Terminated`/`Quarantined`, `Shed`)
+    /// and of `advance_time` (`Draining` first). A service only drains
+    /// inside `drain(self)`, so the flag is set directly here.
+    #[test]
+    fn send_refusals_keep_their_precedence() {
+        // every mailbox is full from the start: sends that pass every
+        // other check are shed
+        let svc = SessionService::start(ServeConfig { session_queue_cap: 0, ..Default::default() });
+        let run = svc.open_session("input int Go; await Go;").unwrap();
+        let term = svc.open_session("input int Go; return 1;").unwrap();
+        let crash = svc.open_session("input int Go; int a = 0; a = 1 / a; await Go;").unwrap();
+        for id in [run, term, crash] {
+            assert!(svc.settle(id, Duration::from_secs(10)));
+        }
+        let junk = SessionId(999);
+        let unknown_event = || Err(SendError::UnknownEvent("Nope".into()));
+        let shed = Err(SendError::Shed { retry_after_us: svc.inner.cfg.retry_after_us });
+
+        assert_eq!(svc.send_event(run, "Go", None), shed);
+        assert_eq!(svc.send_event(term, "Go", None), Err(SendError::Terminated));
+        assert_eq!(svc.send_event(crash, "Go", None), Err(SendError::Quarantined));
+        assert_eq!(svc.send_event(run, "Nope", None), unknown_event());
+        assert_eq!(svc.send_event(term, "Nope", None), unknown_event());
+        assert_eq!(svc.send_event(junk, "Nope", None), Err(SendError::UnknownSession));
+        assert_eq!(svc.advance_time(run, 1), shed);
+        assert_eq!(svc.advance_time(term, 1), Err(SendError::Terminated));
+        assert_eq!(svc.advance_time(crash, 1), Err(SendError::Quarantined));
+        assert_eq!(svc.advance_time(junk, 1), Err(SendError::UnknownSession));
+
+        svc.inner.lock().draining = true;
+        assert_eq!(svc.send_event(run, "Go", None), Err(SendError::Draining));
+        assert_eq!(svc.send_event(term, "Go", None), Err(SendError::Draining));
+        assert_eq!(svc.send_event(crash, "Go", None), Err(SendError::Draining));
+        assert_eq!(svc.send_event(run, "Nope", None), unknown_event());
+        assert_eq!(svc.send_event(junk, "Go", None), Err(SendError::UnknownSession));
+        assert_eq!(svc.send_event(junk, "Nope", None), Err(SendError::UnknownSession));
+        assert_eq!(svc.advance_time(run, 1), Err(SendError::Draining));
+        assert_eq!(svc.advance_time(junk, 1), Err(SendError::Draining));
+        assert_eq!(svc.stats().events_shed, 2);
     }
 }
