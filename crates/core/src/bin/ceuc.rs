@@ -607,7 +607,7 @@ fn exec_script(
                                 if crashed.is_none() {
                                     note_crash(&mut crashed, at, "fault-injected reboot".into());
                                 }
-                                revive_at = Some(at + delay_us.max(1));
+                                revive_at = Some(at.saturating_add(delay_us.max(1)));
                             }
                         }
                         fault_idx += 1;

@@ -30,8 +30,8 @@
 use crate::radio::{Packet, Radio, Topology};
 use crate::sched::EventHeap;
 use crate::world::{
-    order_key, panic_message, skewed, unskew, Backend, Fire, Leds, MoteCtx, MoteId, MoteStats,
-    MoteStatus, WorldTraceEvent,
+    order_key, panic_message, skewed, unskew, Backend, CrashCause, Fire, Leds, MoteCtx, MoteId,
+    MoteStats, MoteStatus, WorldTraceEvent,
 };
 use ceu::runtime::{FlightRecorder, TraceEvent};
 
@@ -287,12 +287,13 @@ pub(crate) struct Shard {
     pub crashes: Vec<u32>,
     pub stats: Vec<MoteStats>,
     pub leds: Vec<Leds>,
-    /// Per-window snapshot of `radio.down` for this shard's motes
-    /// (refreshed by the simulation thread only while any mote is down).
+    /// Snapshot of `radio.down` for this shard's motes: refreshed per
+    /// window by the parallel stepper (only while any mote is down), and
+    /// per event by the sequential one.
     pub down: Vec<bool>,
-    /// Whether the last [`refresh_down`](Shard::refresh_down) left any
-    /// `true` in `down` — tells the world the snapshot needs one more
-    /// refresh even after the radio's down set empties out.
+    /// Whether any `true` may be left in `down` — tells the world the
+    /// snapshot needs one more refresh even after the radio's down set
+    /// empties out.
     pub has_down: bool,
     /// Always-on flight recorder (None = off). Shard-owned so recording
     /// never crosses a shard boundary: it travels with the shard when a
@@ -300,26 +301,51 @@ pub(crate) struct Shard {
     /// the canonical trace stream — which is what keeps recorded content
     /// bit-identical between the sequential and parallel steppers.
     pub recorder: Option<FlightRecorder>,
-    /// Whether the world keeps a unified trace: when `false`, windows skip
-    /// building [`WorldTraceEvent`]s the merge would only drop (a recorder
+    /// Whether the world keeps a unified trace: when `false`, steps skip
+    /// building [`WorldTraceEvent`]s the world would only drop (a recorder
     /// can still be live — it consumes the stream shard-locally).
     pub trace_on: bool,
     /// Persistent per-callback VM-event scratch, lent to each [`MoteCtx`]
     /// and drained in place — steady-state tracing allocates nothing here.
     pub vm_scratch: Vec<TraceEvent>,
-    /// Scratch: per-mote send-emission counter, reset each window.
-    send_idx: Vec<u32>,
 }
 
-/// Everything one shard produced during a parallel window; merged back on
-/// the simulation thread in canonical `(time, mote, emission)` order.
+/// The mote callback one [`Shard::step`] runs.
+pub(crate) enum Call {
+    Boot,
+    /// Revive a crashed mote (the world has already powered its radio on).
+    Reboot,
+    Deliver(Packet),
+    Timer,
+    Cpu,
+}
+
+impl Call {
+    /// The destination mote and callback of a shard-heap firing.
+    pub fn of(fire: Fire) -> (MoteId, Call) {
+        match fire {
+            Fire::Deliver { to, packet } => (to, Call::Deliver(packet)),
+            Fire::Timer { mote } => (mote, Call::Timer),
+            Fire::Cpu { mote } => (mote, Call::Cpu),
+            Fire::Fault { .. } | Fire::Reboot { .. } => {
+                unreachable!("world fires never enter a shard heap")
+            }
+        }
+    }
+}
+
+/// Everything one shard produced during a window — many events on a
+/// worker, or one event on the simulation thread. Merged in canonical
+/// `(time, mote, emission)` order on the simulation thread.
+#[derive(Default)]
 pub(crate) struct ShardWindowOut {
     pub shard: u32,
-    /// `(emit_us, from, per-mote emission index, to, packet)` — the
-    /// cross-shard (and intra-shard) packet handoff, routed through the
-    /// world's single radio RNG at the merge barrier.
+    /// `(emit_us, from, emission index, to, packet)` — the cross-shard
+    /// (and intra-shard) packet handoff, routed through the world's single
+    /// radio RNG at the merge. The emission index is the send's position
+    /// in this buffer, so it ascends in execution order.
     pub sends: Vec<(u64, MoteId, usize, MoteId, Packet)>,
-    /// In-window machine crashes: `(crash_us, mote, sends emitted first)`.
+    /// Mote crashes: `(crash_us, mote, emission index of the next send)`.
     pub crashes: Vec<(u64, MoteId, usize)>,
     pub delivered: u64,
     pub cpu_slices: u64,
@@ -327,11 +353,11 @@ pub(crate) struct ShardWindowOut {
     /// Firings popped inside the window (incl. locally scheduled ones).
     pub events: u64,
     pub trace: Vec<WorldTraceEvent>,
-    /// Highest scheduling seq this shard's worker assigned (`seq_base` if
-    /// none) — the world bumps its counter past the maximum at the merge.
+    /// The scheduling counter: starts at the world's, advanced by every
+    /// timer/CPU push — the world bumps its counter past the maximum.
     pub seq_used: u64,
     /// A backend panicked: `(mote, message)`. The shard stops stepping and
-    /// the simulation thread re-raises with window context.
+    /// the simulation thread re-raises with mote context.
     pub panicked: Option<(MoteId, String)>,
 }
 
@@ -358,7 +384,6 @@ impl Shard {
             recorder: None,
             trace_on: false,
             vm_scratch: Vec::new(),
-            send_idx: Vec::new(),
         }
     }
 
@@ -414,190 +439,179 @@ impl Shard {
     }
 
     /// Steps this shard through `[its current head, run_end)`: pops its own
-    /// heap in `(time, lane, seq)` order, runs backend callbacks, and
-    /// pushes the timers/CPU slices they request straight back into the
-    /// heap (in-window ones fire later in the same call; post-window ones
-    /// wait for a future window). Packet sends and crash side effects that
-    /// touch shared state are returned for the deterministic merge.
-    ///
-    /// Mirrors the sequential stepper's per-event logic exactly — that, the
-    /// lane-major equal-time order, and the merge-barrier radio are what
-    /// make the sharded run bit-identical to `World::run_until`.
+    /// heap in `(time, lane, seq)` order and [`step`](Shard::step)s each
+    /// firing. In-window timer/CPU requests fire later in the same call;
+    /// post-window ones wait for a future window. Sends and crash effects
+    /// that touch shared state are returned for the deterministic merge.
     pub fn run_window(&mut self, run_end: u64, seq_base: u64, cpu_slice_us: u64) -> ShardWindowOut {
-        let mut out = ShardWindowOut {
-            shard: self.id,
-            sends: Vec::new(),
-            crashes: Vec::new(),
-            delivered: 0,
-            cpu_slices: 0,
-            dropped_in_flight: 0,
-            events: 0,
-            trace: Vec::new(),
-            seq_used: seq_base,
-            panicked: None,
-        };
-        self.send_idx.clear();
-        self.send_idx.resize(self.n(), 0);
+        let mut out = ShardWindowOut { shard: self.id, seq_used: seq_base, ..Default::default() };
         let window_start = self.heap.peek_key().map(|(at, _)| at);
-        let mut seq = seq_base;
         while let Some((at, _)) = self.heap.peek_key() {
-            if at >= run_end {
+            if at >= run_end || out.panicked.is_some() {
                 break;
             }
             let (at, _, fire) = self.heap.pop().expect("peeked");
             out.events += 1;
-            let now = at;
-            let mote = match &fire {
-                Fire::Deliver { to, .. } => *to,
-                Fire::Timer { mote } | Fire::Cpu { mote } => *mote,
-                Fire::Fault { .. } | Fire::Reboot { .. } => {
-                    unreachable!("world fires never enter a shard heap")
-                }
-            };
-            let l = self.local(mote);
-            if matches!(&fire, Fire::Deliver { .. }) && (!self.status[l].is_up() || self.down[l]) {
-                // down at arrival (crashed earlier — this window or a past
-                // one — or powered off): the packet drops in flight
-                out.dropped_in_flight += 1;
-                self.stats[l].dropped_in_flight += 1;
-                continue;
-            }
-            if !self.status[l].is_up() {
-                continue; // timers/CPU slices died with the crash
-            }
-            enum Cb {
-                Deliver(Packet),
-                Timer,
-                Cpu,
-            }
-            let cb = match fire {
-                Fire::Deliver { packet, .. } => {
-                    out.delivered += 1;
-                    self.stats[l].received += 1;
-                    Cb::Deliver(packet)
-                }
-                Fire::Timer { .. } => {
-                    if self.timer_at[l] == Some(at) {
-                        self.timer_at[l] = None;
-                        self.stats[l].timer_firings += 1;
-                        Cb::Timer
-                    } else {
-                        continue; // stale (re-requested or crashed)
-                    }
-                }
-                Fire::Cpu { .. } => {
-                    out.cpu_slices += 1;
-                    self.stats[l].cpu_slices += 1;
-                    self.cpu_scheduled[l] = false;
-                    Cb::Cpu
-                }
-                Fire::Fault { .. } | Fire::Reboot { .. } => unreachable!(),
-            };
-            let mut ctx = MoteCtx::new(
-                mote,
-                skewed(now, self.skew_ppm[l]),
-                &mut self.leds[l],
-                &mut self.vm_scratch,
-            );
-            let backend = self.backends[l].as_mut();
-            let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| match cb {
-                Cb::Deliver(p) => backend.deliver(&mut ctx, p),
-                Cb::Timer => backend.timer(&mut ctx),
-                Cb::Cpu => backend.cpu(&mut ctx),
-            }));
-            if let Err(payload) = result {
-                // surface with mote context on the simulation thread; the
-                // worker itself stays alive for the next window
-                out.panicked = Some((mote, panic_message(payload)));
-                break;
-            }
-            let outbox = std::mem::take(&mut ctx.outbox);
-            let timer_request = ctx.timer_request;
-            let wants_cpu = ctx.wants_cpu;
-            let failure = ctx.take_failure();
-            drop(ctx);
-            if self.trace_on || self.recorder.is_some() {
-                for event in &self.vm_scratch {
-                    self.trace_seq[l] += 1;
-                    if let Some(rec) = &mut self.recorder {
-                        rec.record(now, mote, self.trace_seq[l], event);
-                    }
-                    if self.trace_on {
-                        out.trace.push(WorldTraceEvent {
-                            world_time_us: now,
-                            mote,
-                            seq: self.trace_seq[l],
-                            event: event.normalized(),
-                        });
-                    }
-                }
-            } else {
-                // mirror the sequential stepper: the counter advances even
-                // with no consumer, so enabling one later stays bit-stable
-                self.trace_seq[l] += self.vm_scratch.len() as u64;
-            }
-            self.vm_scratch.clear();
-            if let Some(cause) = failure {
-                // mirror of World::crash_mote, minus the shared state
-                // (radio down + reboot scheduling), which the merge applies
-                // at this exact point of the (time, mote, emission) sweep
-                self.trace_seq[l] += 1;
-                let crashed = TraceEvent::MoteCrashed {
-                    kind: cause.kind,
-                    line: cause.span.line,
-                    col: cause.span.col,
-                };
-                if let Some(rec) = &mut self.recorder {
-                    rec.record(now, mote, self.trace_seq[l], &crashed);
-                }
-                if self.trace_on {
-                    out.trace.push(WorldTraceEvent {
-                        world_time_us: now,
-                        mote,
-                        seq: self.trace_seq[l],
-                        event: crashed.normalized(),
-                    });
-                }
-                self.status[l] = MoteStatus::Crashed { at: now, cause };
-                self.crashes[l] += 1;
-                self.stats[l].crashes += 1;
-                self.timer_at[l] = None;
-                self.cpu_scheduled[l] = false;
-                out.crashes.push((now, mote, self.send_idx[l] as usize));
-                continue; // discard this callback's sends / timer / CPU asks
-            }
-            for (to, packet) in outbox {
-                self.stats[l].sent += 1;
-                let i = self.send_idx[l] as usize;
-                self.send_idx[l] += 1;
-                out.sends.push((now, mote, i, to, packet));
-            }
-            if let Some(req) = timer_request {
-                let req = unskew(req, self.skew_ppm[l]).max(now);
-                let better = match self.timer_at[l] {
-                    Some(t) => req < t,
-                    None => true,
-                };
-                if better {
-                    self.timer_at[l] = Some(req);
-                    seq += 1;
-                    self.heap.push(req, order_key(mote as u64 + 1, 1, seq), Fire::Timer { mote });
-                }
-            }
-            if wants_cpu && !self.cpu_scheduled[l] {
-                self.cpu_scheduled[l] = true;
-                seq += 1;
-                let cat = now + cpu_slice_us;
-                self.heap.push(cat, order_key(mote as u64 + 1, 1, seq), Fire::Cpu { mote });
-            }
+            let (mote, call) = Call::of(fire);
+            self.step(at, mote, call, cpu_slice_us, &mut out);
         }
-        out.seq_used = seq;
         if out.events > 0 {
             if let (Some(rec), Some(start)) = (&mut self.recorder, window_start) {
                 rec.record_window(start, run_end, out.events);
             }
         }
         out
+    }
+
+    /// Runs one mote callback at world time `now` — the only place the
+    /// simulator calls a backend. Drops stale or undeliverable firings,
+    /// builds the context, catches a panic, stamps the callback's trace
+    /// events, applies a reported failure as a local crash, and defers the
+    /// sends to `out`; timer/CPU requests go straight back into the heap.
+    /// The world applies `out`'s sends and crash effects in canonical
+    /// `(time, mote, emission)` order — per window under the parallel
+    /// stepper, at once after each event under the sequential one.
+    /// `#[inline]` so the window loop keeps it inline across codegen units,
+    /// as the per-event hot path of both steppers.
+    #[inline]
+    pub fn step(
+        &mut self,
+        now: u64,
+        mote: MoteId,
+        call: Call,
+        cpu_slice_us: u64,
+        out: &mut ShardWindowOut,
+    ) {
+        let l = self.local(mote);
+        match &call {
+            Call::Boot => {}
+            Call::Reboot => {
+                self.status[l] = MoteStatus::Up;
+                self.stats[l].reboots += 1;
+                let boots = self.crashes[l] + 1;
+                self.stamp(l, now, &TraceEvent::MoteRebooted { boots }, &mut out.trace);
+            }
+            Call::Deliver(_) => {
+                if !self.status[l].is_up() || self.down[l] {
+                    // down at arrival (crashed or powered off): the packet
+                    // drops in flight
+                    out.dropped_in_flight += 1;
+                    self.stats[l].dropped_in_flight += 1;
+                    return;
+                }
+                out.delivered += 1;
+                self.stats[l].received += 1;
+            }
+            Call::Timer => {
+                if !self.status[l].is_up() || self.timer_at[l] != Some(now) {
+                    return; // stale (re-requested, or died with a crash)
+                }
+                self.timer_at[l] = None;
+                self.stats[l].timer_firings += 1;
+            }
+            Call::Cpu => {
+                if !self.status[l].is_up() {
+                    return; // died with a crash
+                }
+                out.cpu_slices += 1;
+                self.stats[l].cpu_slices += 1;
+                self.cpu_scheduled[l] = false;
+            }
+        }
+        let mut vm_events = std::mem::take(&mut self.vm_scratch);
+        let mut ctx =
+            MoteCtx::new(mote, skewed(now, self.skew_ppm[l]), &mut self.leds[l], &mut vm_events);
+        let backend = self.backends[l].as_mut();
+        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| match call {
+            Call::Boot => backend.boot(&mut ctx),
+            Call::Reboot => backend.reboot(&mut ctx),
+            Call::Deliver(p) => backend.deliver(&mut ctx, p),
+            Call::Timer => backend.timer(&mut ctx),
+            Call::Cpu => backend.cpu(&mut ctx),
+        }));
+        let outbox = std::mem::take(&mut ctx.outbox);
+        let (timer_request, wants_cpu, failure) =
+            (ctx.timer_request, ctx.wants_cpu, ctx.take_failure());
+        if let Err(payload) = result {
+            out.panicked = Some((mote, panic_message(payload)));
+        } else {
+            for event in &vm_events {
+                self.stamp(l, now, event, &mut out.trace);
+            }
+        }
+        vm_events.clear();
+        self.vm_scratch = vm_events;
+        if out.panicked.is_some() {
+            return;
+        }
+        if let Some(cause) = failure {
+            // the callback's sends and timer/CPU requests die with the mote
+            self.crash(l, now, cause, &mut out.trace);
+            out.crashes.push((now, mote, out.sends.len()));
+            return;
+        }
+        for (to, packet) in outbox {
+            self.stats[l].sent += 1;
+            out.sends.push((now, mote, out.sends.len(), to, packet));
+        }
+        if let Some(req) = timer_request {
+            // the backend asked in its own (skewed) clock; convert back
+            let req = unskew(req, self.skew_ppm[l]).max(now);
+            let better = match self.timer_at[l] {
+                Some(t) => req < t,
+                None => true,
+            };
+            if better {
+                self.timer_at[l] = Some(req);
+                out.seq_used += 1;
+                let key = order_key(mote as u64 + 1, 1, out.seq_used);
+                self.heap.push(req, key, Fire::Timer { mote });
+            }
+        }
+        if wants_cpu && !self.cpu_scheduled[l] {
+            self.cpu_scheduled[l] = true;
+            out.seq_used += 1;
+            let key = order_key(mote as u64 + 1, 1, out.seq_used);
+            self.heap.push(now + cpu_slice_us, key, Fire::Cpu { mote });
+        }
+    }
+
+    /// The mote-local half of a crash: stamps `MoteCrashed`, marks the
+    /// mote down and drops its pending timer/CPU bookkeeping. The radio
+    /// and the reboot schedule are the world's half.
+    pub fn crash(
+        &mut self,
+        l: usize,
+        now: u64,
+        cause: CrashCause,
+        trace: &mut Vec<WorldTraceEvent>,
+    ) {
+        let (line, col) = (cause.span.line, cause.span.col);
+        self.stamp(l, now, &TraceEvent::MoteCrashed { kind: cause.kind, line, col }, trace);
+        self.status[l] = MoteStatus::Crashed { at: now, cause };
+        self.crashes[l] += 1;
+        self.stats[l].crashes += 1;
+        self.timer_at[l] = None;
+        self.cpu_scheduled[l] = false;
+    }
+
+    /// Stamps one trace event of local mote `l`: its per-mote seq advances
+    /// even with no consumer (so enabling one later stays bit-stable), the
+    /// recorder keeps what it wants, and the world trace gets it when on.
+    fn stamp(&mut self, l: usize, now: u64, event: &TraceEvent, trace: &mut Vec<WorldTraceEvent>) {
+        self.trace_seq[l] += 1;
+        let (mote, seq) = (self.base + l, self.trace_seq[l]);
+        if let Some(rec) = &mut self.recorder {
+            rec.record(now, mote, seq, event);
+        }
+        if self.trace_on {
+            trace.push(WorldTraceEvent {
+                world_time_us: now,
+                mote,
+                seq,
+                event: event.normalized(),
+            });
+        }
     }
 }
 

@@ -8,9 +8,10 @@
 //!
 //! The event core is **sharded** (see [`crate::shard`]): motes are
 //! partitioned along the radio topology into shards, each owning its own
-//! [`EventHeap`] and its motes' hot state as struct-of-arrays. The
-//! sequential stepper min-scans the shard heads; the parallel stepper
-//! checks whole shards out to a persistent worker pool
+//! [`EventHeap`] and its motes' hot state as struct-of-arrays. One shard
+//! step runs every mote callback. The sequential stepper min-scans the
+//! shard heads and steps the head event as a one-event window; the
+//! parallel stepper checks whole shards out to a persistent worker pool
 //! ([`crate::pool`]), each running to its own per-shard lookahead bound,
 //! and merges results deterministically at the window barrier.
 
@@ -19,7 +20,7 @@ use crate::parstats::{ParStats, ParWindowStats, DEFAULT_WINDOW_CAP, SEND_SAMPLE_
 use crate::pool::{JobOut, ShardJob, WorkerPool};
 use crate::radio::{Packet, Radio};
 use crate::sched::EventHeap;
-use crate::shard::{Shard, ShardPlan, DEFAULT_TARGET_SHARDS};
+use crate::shard::{Call, Shard, ShardPlan, ShardWindowOut, DEFAULT_TARGET_SHARDS};
 use ceu::ast::Span;
 use ceu::runtime::telemetry::json_string;
 use ceu::runtime::{CrashKind, FlightRecord, FlightRecorder, RuntimeError, TraceEvent};
@@ -179,11 +180,11 @@ fn lane_of(f: &Fire) -> u64 {
 
 /// The intra-lane class: packet deliveries land *before* timer/CPU
 /// callbacks at the same instant for the same mote. Without this bit the
-/// tie would fall to the scheduling counter — which the sequential
-/// stepper assigns at transmit time but the parallel merge can only
-/// assign after the window's workers have consumed theirs, so the two
-/// paths could order a same-instant Timer/Deliver collision differently.
-/// A fixed semantic rule costs one key bit and removes the dependence.
+/// tie would fall to the scheduling counter — which a window's merge only
+/// assigns to its sends after the window's own timer/CPU pushes, so
+/// one-event windows and lookahead windows could order a same-instant
+/// Timer/Deliver collision differently. A fixed semantic rule costs one
+/// key bit and removes the dependence.
 fn kind_of(f: &Fire) -> u64 {
     match f {
         Fire::Deliver { .. } | Fire::Fault { .. } | Fire::Reboot { .. } => 0,
@@ -254,8 +255,8 @@ pub struct MoteCtx<'w> {
 }
 
 impl<'w> MoteCtx<'w> {
-    /// A fresh context for one callback (shared by the sequential stepper
-    /// and the shard workers, so effect handling stays identical).
+    /// A fresh context for one callback, built only by the shard step
+    /// that both steppers run.
     pub(crate) fn new(
         id: MoteId,
         now: u64,
@@ -450,6 +451,9 @@ pub struct World {
     trace: Option<Vec<WorldTraceEvent>>,
     /// Cross-window send merge buffer, reused across parallel windows.
     merge_sends: Vec<(u64, MoteId, usize, MoteId, Packet)>,
+    /// The one-event window buffer of [`World::step_mote`], reused so the
+    /// sequential stepper allocates nothing per event.
+    step_out: ShardWindowOut,
     /// Fault-plan entries, indexed by [`Fire::Fault`]. Append-only so the
     /// indices stay stable across multiple [`World::set_fault_plan`] calls.
     fault_entries: Vec<FaultEntry>,
@@ -491,6 +495,7 @@ impl World {
             stats: Stats::default(),
             trace: None,
             merge_sends: Vec::new(),
+            step_out: ShardWindowOut::default(),
             fault_entries: Vec::new(),
             reboot_policy: RebootPolicy::default(),
             par_stats: None,
@@ -947,67 +952,34 @@ impl World {
         delay.max(1).max(self.radio.min_latency()).max(self.max_lookahead_us)
     }
 
-    /// Stamps one world-originated trace event (crash / reboot) for a
-    /// mote. Bumps the per-mote `seq` even when tracing is off, keeping
-    /// the counter in step with the parallel path.
-    fn emit_world_event(&mut self, mote: MoteId, event: TraceEvent) {
-        let now = self.now;
-        let (s, l) = self.loc(mote);
-        self.shards[s].trace_seq[l] += 1;
-        let seq = self.shards[s].trace_seq[l];
-        if let Some(rec) = self.shards[s].recorder.as_mut() {
-            rec.record(now, mote, seq, &event);
-        }
-        if let Some(trace) = self.trace.as_mut() {
-            trace.push(WorldTraceEvent {
-                world_time_us: now,
-                mote,
-                seq,
-                event: event.normalized(),
-            });
-        }
-    }
-
-    /// Transitions a mote to `Crashed` at the current time: drops its
-    /// pending timer/CPU bookkeeping, powers its radio off, emits a
-    /// `MoteCrashed` trace event, and (per the reboot policy, or
-    /// `reboot_override` for plan-driven crashes) schedules the reboot.
+    /// Crashes a mote at the current time (a fault-plan crash): the
+    /// shard's local crash bookkeeping, then the world's half — radio off,
+    /// the reboot (per the policy, or `reboot_override`), the dump.
     fn crash_mote(&mut self, mote: MoteId, cause: CrashCause, reboot_override: Option<u64>) {
         let (s, l) = self.loc(mote);
         if !self.shards[s].status[l].is_up() {
             return;
         }
-        let event = TraceEvent::MoteCrashed {
-            kind: cause.kind,
-            line: cause.span.line,
-            col: cause.span.col,
-        };
-        let shard = &mut self.shards[s];
-        shard.status[l] = MoteStatus::Crashed { at: self.now, cause };
-        shard.crashes[l] += 1;
-        shard.stats[l].crashes += 1;
-        shard.timer_at[l] = None;
-        shard.cpu_scheduled[l] = false;
-        let nth = shard.crashes[l];
-        self.emit_world_event(mote, event);
-        self.radio.set_down(mote, true);
-        let delay = reboot_override.or_else(|| self.reboot_policy.delay_for(nth));
-        if let Some(d) = delay {
-            let at = self.now + self.effective_reboot_delay(d);
-            self.schedule(at, Fire::Reboot { mote });
-        }
-        self.maybe_dump_blackbox("mote-crashed", Some(mote));
+        let mut untraced = Vec::new();
+        let trace = self.trace.as_mut().unwrap_or(&mut untraced);
+        self.shards[s].crash(l, self.now, cause, trace);
+        self.apply_crash_world_effects(mote, self.now, reboot_override);
     }
 
-    /// The world-side effects of a crash discovered during a parallel
-    /// window merge: the shard's columns were already mutated by the
-    /// worker, so only the shared state (radio, reboot schedule) remains.
-    fn apply_crash_world_effects(&mut self, mote: MoteId, crash_at: u64) {
+    /// The world's half of a crash whose shard columns are already
+    /// updated: the radio goes down and the reboot is scheduled (per the
+    /// policy unless `reboot_override` gives the delay), then the dump.
+    fn apply_crash_world_effects(
+        &mut self,
+        mote: MoteId,
+        crash_at: u64,
+        reboot_override: Option<u64>,
+    ) {
         self.radio.set_down(mote, true);
         let (s, l) = self.loc(mote);
         let nth = self.shards[s].crashes[l];
-        if let Some(d) = self.reboot_policy.delay_for(nth) {
-            let at = crash_at + self.effective_reboot_delay(d);
+        if let Some(d) = reboot_override.or_else(|| self.reboot_policy.delay_for(nth)) {
+            let at = crash_at.saturating_add(self.effective_reboot_delay(d));
             self.schedule(at.max(self.now), Fire::Reboot { mote });
         }
         self.maybe_dump_blackbox("mote-crashed", Some(mote));
@@ -1136,18 +1108,6 @@ impl World {
         }
     }
 
-    /// Counts packets that the medium had accepted but that landed on a
-    /// downed mote (dropped in flight).
-    fn note_in_flight_drops(&mut self, mote: MoteId, n: u64) {
-        if n == 0 {
-            return;
-        }
-        self.stats.dropped_in_flight += n;
-        let (s, l) = self.loc(mote);
-        self.shards[s].stats[l].dropped_in_flight += n;
-        self.radio.stats.dropped_in_flight += n;
-    }
-
     /// Applies one fault-plan entry at its scheduled time.
     fn apply_fault(&mut self, index: usize) {
         let entry = self.fault_entries[index].clone();
@@ -1161,7 +1121,7 @@ impl World {
                     // crash-then-reboot in one action
                     self.crash_mote(mote, CrashCause::injected(), Some(delay_us));
                 } else {
-                    let at = self.now + self.effective_reboot_delay(delay_us);
+                    let at = self.now.saturating_add(self.effective_reboot_delay(delay_us));
                     self.schedule(at, Fire::Reboot { mote });
                 }
             }
@@ -1179,35 +1139,44 @@ impl World {
             FaultAction::DropInFlight { mote } => {
                 // in-flight deliveries to one mote live in exactly one
                 // heap: its own shard's
-                let (s, _) = self.loc(mote);
+                let (s, l) = self.loc(mote);
                 let dropped = self.shards[s]
                     .heap
-                    .retain(|_, _, f| !matches!(f, Fire::Deliver { to, .. } if *to == mote));
-                self.note_in_flight_drops(mote, dropped as u64);
+                    .retain(|_, _, f| !matches!(f, Fire::Deliver { to, .. } if *to == mote))
+                    as u64;
+                self.shards[s].stats[l].dropped_in_flight += dropped;
+                self.stats.dropped_in_flight += dropped;
+                self.radio.stats.dropped_in_flight += dropped;
             }
         }
     }
 
-    /// Revives a crashed mote: radio back up, `MoteRebooted` trace event,
-    /// then the backend's `reboot` callback (fresh boot with state loss).
+    /// Revives a crashed mote: radio back up, then the shard step marks
+    /// it up, stamps `MoteRebooted` and runs the backend's `reboot`
+    /// callback (fresh boot with state loss).
     fn apply_reboot(&mut self, mote: MoteId) {
         let (s, l) = self.loc(mote);
         if self.shards[s].status[l].is_up() {
             return; // a stale reboot (mote was already revived)
         }
-        self.shards[s].status[l] = MoteStatus::Up;
-        self.shards[s].stats[l].reboots += 1;
         self.radio.set_down(mote, false);
-        let boots = self.shards[s].crashes[l] + 1;
-        self.emit_world_event(mote, TraceEvent::MoteRebooted { boots });
-        self.with_ctx(mote, |backend, ctx| backend.reboot(ctx));
+        self.step_mote(mote, Call::Reboot);
+    }
+
+    /// Applies a world event (fault or reboot) at the current time.
+    fn apply_world_fire(&mut self, fire: Fire) {
+        match fire {
+            Fire::Fault { index } => self.apply_fault(index),
+            Fire::Reboot { mote } => self.apply_reboot(mote),
+            _ => unreachable!("only world fires enter the world queue"),
+        }
     }
 
     /// Boots every mote (virtual time 0).
     pub fn boot(&mut self) {
         self.ensure_shards();
         for id in 0..self.mote_count() {
-            self.with_ctx(id, |backend, ctx| backend.boot(ctx));
+            self.step_mote(id, Call::Boot);
         }
     }
 
@@ -1228,7 +1197,8 @@ impl World {
     ///
     /// Sequentially min-scans the world queue and the shard heads; because
     /// every key packs `(lane, seq)` under one global counter, the scan
-    /// pops the exact order a single merged heap would.
+    /// pops the exact order a single merged heap would. Each mote event
+    /// is a one-event window of its shard (see [`World::step_mote`]).
     pub fn run_until(&mut self, deadline: u64) {
         self.ensure_shards();
         loop {
@@ -1250,130 +1220,53 @@ impl World {
             if at > deadline {
                 break;
             }
-            let (at, _, fire) = if src == usize::MAX {
-                self.world_queue.pop().expect("peeked")
-            } else {
-                self.shards[src].heap.pop().expect("peeked")
-            };
             self.now = at;
-            match fire {
-                Fire::Deliver { to, packet } => {
-                    // the destination may have gone down while the packet
-                    // was in flight: discard at arrival, don't wake it
-                    let (s, l) = self.loc(to);
-                    if !self.shards[s].status[l].is_up() || self.radio.is_down(to) {
-                        self.note_in_flight_drops(to, 1);
-                        continue;
-                    }
-                    self.stats.delivered += 1;
-                    self.shards[s].stats[l].received += 1;
-                    self.with_ctx(to, |backend, ctx| backend.deliver(ctx, packet));
-                }
-                Fire::Timer { mote } => {
-                    // stale timer? (the mote re-requested a different time,
-                    // or crashed — a crash clears `timer_at`)
-                    let (s, l) = self.loc(mote);
-                    let shard = &mut self.shards[s];
-                    if shard.timer_at[l] == Some(at) && shard.status[l].is_up() {
-                        shard.timer_at[l] = None;
-                        shard.stats[l].timer_firings += 1;
-                        self.with_ctx(mote, |backend, ctx| backend.timer(ctx));
-                    }
-                }
-                Fire::Cpu { mote } => {
-                    let (s, l) = self.loc(mote);
-                    if !self.shards[s].status[l].is_up() {
-                        continue; // crash cleared `cpu_scheduled` already
-                    }
-                    self.stats.cpu_slices += 1;
-                    self.shards[s].stats[l].cpu_slices += 1;
-                    self.shards[s].cpu_scheduled[l] = false;
-                    self.with_ctx(mote, |backend, ctx| backend.cpu(ctx));
-                }
-                Fire::Fault { index } => self.apply_fault(index),
-                Fire::Reboot { mote } => self.apply_reboot(mote),
+            if src == usize::MAX {
+                let (_, _, fire) = self.world_queue.pop().expect("peeked");
+                self.apply_world_fire(fire);
+            } else {
+                let (_, _, fire) = self.shards[src].heap.pop().expect("peeked");
+                let (mote, call) = Call::of(fire);
+                self.step_mote(mote, call);
             }
         }
         self.now = self.now.max(deadline);
     }
 
-    /// Runs one backend callback and applies its effects (sends, timer
-    /// requests, CPU requests). Mirrored exactly by
-    /// [`Shard::run_window`](crate::shard::Shard::run_window), which defers
-    /// the radio-touching effects to the merge barrier.
-    fn with_ctx(&mut self, id: MoteId, f: impl FnOnce(&mut dyn Backend, &mut MoteCtx)) {
-        let (s, l) = self.loc(id);
+    /// Runs one mote callback at the current time as a one-event window
+    /// of the mote's shard, then applies the window's sends and crash
+    /// effects at once — so with zero-latency media, transmit order is
+    /// execution order. The sequential stepper, boot and reboot all step
+    /// motes here; a panicking backend resurfaces with the mote named.
+    fn step_mote(&mut self, mote: MoteId, call: Call) {
+        let (s, l) = self.loc(mote);
         let now = self.now;
-        let skew = self.shards[s].skew_ppm[l];
-        let mut backend = std::mem::replace(&mut self.shards[s].backends[l], Box::new(Inert));
-        let (outbox, timer_request, wants_cpu, failure);
-        {
-            let shard = &mut self.shards[s];
-            let mut ctx =
-                MoteCtx::new(id, skewed(now, skew), &mut shard.leds[l], &mut shard.vm_scratch);
-            f(backend.as_mut(), &mut ctx);
-            outbox = std::mem::take(&mut ctx.outbox);
-            timer_request = ctx.timer_request;
-            wants_cpu = ctx.wants_cpu;
-            failure = ctx.take_failure();
+        let mut out = std::mem::take(&mut self.step_out);
+        out.seq_used = self.seq;
+        let shard = &mut self.shards[s];
+        // a one-event window's radio snapshot is the radio itself
+        shard.down[l] = self.radio.is_down(mote);
+        shard.has_down |= shard.down[l];
+        shard.step(now, mote, call, self.cpu_slice_us, &mut out);
+        self.seq = out.seq_used;
+        self.absorb(&mut out);
+        if let Some((mote, msg)) = out.panicked.take() {
+            self.step_out = out;
+            panic!("mote {mote} panicked at {now} us: {msg}");
         }
-        self.shards[s].backends[l] = backend;
-        {
-            let mut trace = self.trace.as_mut();
-            let shard = &mut self.shards[s];
-            if trace.is_some() || shard.recorder.is_some() {
-                for event in &shard.vm_scratch {
-                    shard.trace_seq[l] += 1;
-                    if let Some(rec) = shard.recorder.as_mut() {
-                        rec.record(now, id, shard.trace_seq[l], event);
-                    }
-                    if let Some(trace) = trace.as_deref_mut() {
-                        trace.push(WorldTraceEvent {
-                            world_time_us: now,
-                            mote: id,
-                            seq: shard.trace_seq[l],
-                            event: event.normalized(),
-                        });
-                    }
-                }
-            } else {
-                // keep the per-mote counter in step with the parallel
-                // path, which stamps events before the merge decides
-                shard.trace_seq[l] += shard.vm_scratch.len() as u64;
-            }
-            shard.vm_scratch.clear();
-        }
-        if let Some(cause) = failure {
-            // graceful degradation: the failing callback's pending effects
-            // (sends, timer/CPU requests) die with the mote
-            self.crash_mote(id, cause, None);
-            return;
-        }
-        for (to, packet) in outbox {
-            self.shards[s].stats[l].sent += 1;
-            if let Some(arrival) = self.radio.transmit(now, id, to, &packet) {
-                self.schedule(arrival, Fire::Deliver { to, packet });
-            } else {
-                self.stats.lost += 1;
-                self.shards[s].stats[l].lost += 1;
-            }
-        }
-        if let Some(at) = timer_request {
-            // the backend asked in its own (skewed) clock; convert back
-            let at = unskew(at, skew).max(now);
-            let better = match self.shards[s].timer_at[l] {
-                Some(t) => at < t,
-                None => true,
-            };
-            if better {
-                self.shards[s].timer_at[l] = Some(at);
-                self.schedule(at, Fire::Timer { mote: id });
-            }
-        }
-        if wants_cpu && !self.shards[s].cpu_scheduled[l] {
-            self.shards[s].cpu_scheduled[l] = true;
-            let at = now + self.cpu_slice_us;
-            self.schedule(at, Fire::Cpu { mote: id });
+        self.flush_merge_actions(&mut out.sends, &mut out.crashes, None);
+        self.step_out = out;
+    }
+
+    /// Folds a step's or window's counters and trace into the world's.
+    fn absorb(&mut self, out: &mut ShardWindowOut) {
+        self.stats.delivered += std::mem::take(&mut out.delivered);
+        self.stats.cpu_slices += std::mem::take(&mut out.cpu_slices);
+        let dropped = std::mem::take(&mut out.dropped_in_flight);
+        self.stats.dropped_in_flight += dropped;
+        self.radio.stats.dropped_in_flight += dropped;
+        if let Some(trace) = self.trace.as_mut() {
+            trace.append(&mut out.trace);
         }
     }
 
@@ -1411,10 +1304,10 @@ impl World {
         for (at, from, emission, to, packet) in sends.drain(..n_s) {
             // crash world-effects precede the sends they beat in the
             // canonical order: the crash powers the radio off, and later
-            // loss rolls must see it down — exactly as in [`run_until`]
+            // loss rolls must see it down
             while let Some(&(c_at, c_mote, c_emission)) = crash_iter.peek() {
                 if (c_at, c_mote, c_emission) <= (at, from, emission) {
-                    self.apply_crash_world_effects(c_mote, c_at);
+                    self.apply_crash_world_effects(c_mote, c_at, None);
                     crash_iter.next();
                 } else {
                     break;
@@ -1429,7 +1322,7 @@ impl World {
             }
         }
         for (c_at, c_mote, _) in crash_iter {
-            self.apply_crash_world_effects(c_mote, c_at);
+            self.apply_crash_world_effects(c_mote, c_at, None);
         }
         true
     }
@@ -1519,11 +1412,7 @@ impl World {
                 // simulation thread at exactly their scheduled time
                 let (at, _, fire) = self.world_queue.pop().expect("peeked");
                 self.now = at;
-                match fire {
-                    Fire::Fault { index } => self.apply_fault(index),
-                    Fire::Reboot { mote } => self.apply_reboot(mote),
-                    _ => unreachable!("only world fires enter the world queue"),
-                }
+                self.apply_world_fire(fire);
                 continue;
             }
             let world_at = world_head.map(|(at, _)| at);
@@ -1588,7 +1477,7 @@ impl World {
                 if stats_on {
                     busy_ns[bout.worker] = bout.busy_ns;
                 }
-                for JobOut { shard, out, run_end: job_end, busy_ns: jbusy } in bout.jobs {
+                for JobOut { shard, mut out, run_end: job_end, busy_ns: jbusy } in bout.jobs {
                     let sid = out.shard;
                     debug_assert_eq!(sid, shard.id);
                     if stats_on {
@@ -1599,18 +1488,12 @@ impl World {
                     win_motes += shard.n() as u32;
                     let n_sends = out.sends.len() as u64;
                     max_seq = max_seq.max(out.seq_used);
-                    self.stats.delivered += out.delivered;
-                    self.stats.cpu_slices += out.cpu_slices;
-                    self.stats.dropped_in_flight += out.dropped_in_flight;
-                    self.radio.stats.dropped_in_flight += out.dropped_in_flight;
-                    if let Some(trace) = self.trace.as_mut() {
-                        trace.extend(out.trace);
-                    }
-                    pending_crashes.extend(out.crashes);
+                    self.absorb(&mut out);
+                    pending_crashes.append(&mut out.crashes);
                     if let Some((mote, msg)) = out.panicked {
                         panicked.get_or_insert((mote, msg, job_end));
                     }
-                    pending_sends.extend(out.sends);
+                    pending_sends.append(&mut out.sends);
                     if let Some(ps) = self.par_stats.as_mut() {
                         ps.record_shard(
                             sid,
@@ -1636,9 +1519,9 @@ impl World {
             }
             // workers consumed seqs from `seq_base` upward for their own
             // timer/CPU pushes; advance past them so the merge's Deliver
-            // seqs sort after every in-window push (matching the
-            // sequential stepper, where the send is scheduled after the
-            // callback's own requests)
+            // seqs sort after every in-window push (as in a one-event
+            // window, where the send is scheduled after the callback's
+            // own requests)
             self.seq = max_seq;
             // the window's sends and crash effects stay *deferred* in the
             // pending buffers — the pre-window flush replays them through
@@ -1652,22 +1535,14 @@ impl World {
                 .take(SEND_SAMPLE_CAP)
                 .map(|&(at, from, _, to, _)| (at, from as u32, to as u32))
                 .collect();
-            if let (Some(ps), Some(win_t0), Some(drain_done), Some(par_done), Some(ops0)) =
-                (self.par_stats.as_mut(), win_t0, drain_done, par_done, heap_ops_0)
+            let heap_ops = heap_ops_0.map(|(p0, q0)| {
+                let (p, q) = self.heap_op_totals();
+                (p - p0, q - q0)
+            });
+            if let (Some(ps), Some(win_t0), Some(drain_done), Some(par_done), Some(heap_ops)) =
+                (self.par_stats.as_mut(), win_t0, drain_done, par_done, heap_ops)
             {
-                let (p0, q0) = ops0;
-                let mut pushes = 0u64;
-                let mut pops = 0u64;
-                {
-                    let (wp, wq) = self.world_queue.op_counts();
-                    pushes += wp;
-                    pops += wq;
-                }
-                for shard in &self.shards {
-                    let (p, q) = shard.heap.op_counts();
-                    pushes += p;
-                    pops += q;
-                }
+                let (heap_pushes, heap_pops) = heap_ops;
                 let index = ps.totals.windows;
                 ps.record_window(ParWindowStats {
                     index,
@@ -1686,8 +1561,8 @@ impl World {
                     drain_ns: drain_done.duration_since(win_t0).as_nanos() as u64,
                     par_ns: par_done.duration_since(drain_done).as_nanos() as u64,
                     merge_ns: par_done.elapsed().as_nanos() as u64,
-                    heap_pushes: pushes - p0,
-                    heap_pops: pops - q0,
+                    heap_pushes,
+                    heap_pops,
                     cross_sends,
                     send_sample,
                     shard_busy,
@@ -1734,15 +1609,6 @@ impl<B: Backend> Backend for std::sync::Arc<std::sync::Mutex<B>> {
     }
 }
 
-/// Placeholder while a backend is checked out during a callback.
-pub(crate) struct Inert;
-
-impl Backend for Inert {
-    fn boot(&mut self, _: &mut MoteCtx) {}
-    fn deliver(&mut self, _: &mut MoteCtx, _: Packet) {}
-    fn timer(&mut self, _: &mut MoteCtx) {}
-    fn cpu(&mut self, _: &mut MoteCtx) {}
-}
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1957,6 +1823,71 @@ mod tests {
         let msg = err.downcast_ref::<String>().cloned().expect("panic message is a string");
         assert!(msg.contains("mote 1 panicked in parallel window ["), "{msg}");
         assert!(msg.contains("the backend blew up"), "{msg}");
+    }
+
+    /// Runs `f`, which must panic, with the panic hook silenced; returns
+    /// the resurfaced message.
+    fn panic_text(f: impl FnOnce()) -> String {
+        let prev = std::panic::take_hook();
+        std::panic::set_hook(Box::new(|_| {})); // keep the test log quiet
+        let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(f))
+            .expect_err("the mote panic must resurface");
+        std::panic::set_hook(prev);
+        err.downcast_ref::<String>().cloned().expect("panic message is a string")
+    }
+
+    #[test]
+    fn sequential_mote_panics_carry_the_mote() {
+        struct Bomb {
+            in_boot: bool,
+        }
+        impl Backend for Bomb {
+            fn boot(&mut self, ctx: &mut MoteCtx) {
+                assert!(!self.in_boot, "the boot blew up");
+                ctx.set_timer_at(1_000);
+            }
+            fn deliver(&mut self, _: &mut MoteCtx, _: Packet) {}
+            fn timer(&mut self, _: &mut MoteCtx) {
+                panic!("the timer blew up");
+            }
+            fn cpu(&mut self, _: &mut MoteCtx) {}
+        }
+        let world = |in_boot: bool| {
+            let mut w = World::new(Radio::ideal(500));
+            w.add_mote(Box::new(Pinger { peer: 1, received: 0 }));
+            w.add_mote(Box::new(Bomb { in_boot }));
+            w
+        };
+        let mut w = world(false);
+        w.boot();
+        let msg = panic_text(|| w.run_until(5_000));
+        assert!(msg.contains("mote 1 panicked at 1000 us"), "{msg}");
+        assert!(msg.contains("the timer blew up"), "{msg}");
+        let mut w = world(true);
+        let msg = panic_text(|| w.boot());
+        assert!(msg.contains("mote 1 panicked at 0 us"), "{msg}");
+        assert!(msg.contains("the boot blew up"), "{msg}");
+    }
+
+    #[test]
+    fn unbounded_reboot_delays_leave_the_mote_down() {
+        // a plan may name any u64 delay: the reboot lands past every
+        // horizon instead of wrapping around to "now"
+        let plan = FaultPlan::parse("at 15ms reboot 0 after 18446744073709551615").unwrap();
+        for threads in [None, Some(2)] {
+            let mut w = World::new(Radio::ideal(1_000));
+            w.add_mote(Box::new(Pinger { peer: 1, received: 0 }));
+            w.add_mote(Box::new(Pinger { peer: 0, received: 0 }));
+            w.set_fault_plan(&plan).unwrap();
+            w.boot();
+            match threads {
+                None => w.run_until(50_000),
+                Some(n) => w.run_until_parallel(50_000, n),
+            }
+            assert!(!w.mote_status(0).is_up(), "threads={threads:?}");
+            assert_eq!(w.mote_stats(0).crashes, 1, "threads={threads:?}");
+            assert_eq!(w.mote_stats(0).reboots, 0, "threads={threads:?}");
+        }
     }
 
     #[test]
