@@ -14,7 +14,7 @@
 //!   leave the hot path untouched;
 //! * `par_scaling` — shared-artifact throughput on 1..=T threads;
 //! * `world_par` — PDES scheduler over the chaos network at 1/2/4
-//!   threads with `ceu-par-stats/v1` on: wall, speedup, utilization and
+//!   threads with `ceu-par-stats/v2` on: wall, speedup, utilization and
 //!   the dominant stall category per thread count;
 //! * `stats_overhead` — the same 2-thread world run with stats off vs
 //!   on, reported as an overhead percentage (the tracked cost of
@@ -367,7 +367,7 @@ fn par_run(
 
 /// Steps the six-mote chaos network (no faults, no traces) on `threads`
 /// workers; returns the measured wall and, when `stats` is on, the
-/// `ceu-par-stats/v1` record.
+/// `ceu-par-stats/v2` record.
 fn world_wall(horizon_us: u64, threads: usize, stats: bool) -> (u64, Option<wsn_sim::ParStats>) {
     let mut w = ceu_bench::chaos::build_chaos_world_opts(&wsn_sim::FaultPlan::new(), false);
     if stats {

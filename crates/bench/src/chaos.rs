@@ -172,7 +172,7 @@ pub struct ChaosOutcome {
     /// Last LED-change time per mote (the re-convergence witness).
     pub led_last_activity: Vec<u64>,
     /// Scheduler introspection from the widest parallel check
-    /// (`ceu-par-stats/v1`, collected with the bit-identity asserts on —
+    /// (`ceu-par-stats/v2`, collected with the bit-identity asserts on —
     /// proof that stats collection does not perturb the run).
     pub par_stats: Option<ParStats>,
     /// Flight-recorder `(live, capacity, dropped)` from the sequential

@@ -51,7 +51,7 @@ pub fn write_metrics_out(metrics: &ceu::runtime::Metrics) {
 /// Renders the unified `--metrics-out` snapshot: one JSON object carrying
 /// the machine-level runtime counters, the world-level network/fault
 /// counters ([`wsn_sim::world::World::metrics_json`]) and the
-/// parallel-scheduler run record (`ceu-par-stats/v1`). Absent sections
+/// parallel-scheduler run record (`ceu-par-stats/v2`). Absent sections
 /// are `null`, so consumers can probe with one shape.
 pub fn combined_metrics_json(
     machine: Option<&ceu::runtime::Metrics>,

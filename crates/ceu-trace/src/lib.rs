@@ -24,10 +24,7 @@ pub mod blackbox;
 pub mod parstats;
 
 pub use blackbox::{parse_blackbox, render_blackbox, BlackboxDump};
-pub use parstats::{
-    par_report, par_stats_perfetto_events, parse_par_stats, render_par_run, ParRun, ParShard,
-    ParWindow,
-};
+pub use parstats::{par_report, par_stats_perfetto_events, parse_par_stats, render_par_run};
 
 /// One parsed trace line, normalised to the world-trace shape.
 #[derive(Clone, Debug)]

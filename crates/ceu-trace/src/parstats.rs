@@ -12,94 +12,50 @@
 //! arrows for the cross-window sends — that `to-perfetto --par-stats`
 //! merges alongside the virtual-time mote tracks.
 //!
-//! v1 streams (no shard records, no `shard_busy`) parse unchanged; the
-//! shard table and shard tracks simply stay empty.
+//! The stream parses straight into the writer's own types
+//! ([`wsn_sim::ParStats`] and its parts), so the schema is declared once,
+//! in `wsn_sim::parstats`, and the report's coverage, dominant stall,
+//! utilization and speedup come from the same methods the bench binaries
+//! print. v1 streams (no shard records, no `shard_busy`) parse unchanged;
+//! the shard table and shard tracks simply stay empty.
 
 use serde_json::Value;
 use std::fmt::Write as _;
+use wsn_sim::parstats::{
+    Attribution, ParShardStats, ParStats, ParTotals, ParWindowStats, DEFAULT_WINDOW_CAP,
+};
 
-/// The parsed `kind:"run"` header of a `ceu-par-stats/v1|v2` stream.
-#[derive(Clone, Debug, Default)]
-pub struct ParRun {
-    pub threads: u64,
-    pub lookahead_us: u64,
-    pub motes: u64,
-    /// Shard count (v2; 0 for v1 streams).
-    pub shards: u64,
-    pub fallback: bool,
-    pub wall_ns: u64,
-    pub window_wall_ns: u64,
-    pub windows: u64,
-    pub dropped_windows: u64,
-    pub events: u64,
-    pub cross_sends: u64,
-    pub heap_pushes: u64,
-    pub heap_pops: u64,
-    pub busy_ns: u64,
-    pub imbalance_ns: u64,
-    pub lookahead_ns: u64,
-    pub barrier_ns: u64,
-    pub merge_ns: u64,
-    pub critical_busy_ns: u64,
-    pub drain_wall_ns: u64,
-    pub par_wall_ns: u64,
-    pub merge_wall_ns: u64,
+/// `key` as an unsigned integer; a missing or non-integer value reads as 0.
+fn num(v: &Value, key: &str) -> u64 {
+    v.get(key).and_then(Value::as_u64).unwrap_or(0)
 }
 
-/// One parsed `kind:"shard"` summary line (v2).
-#[derive(Clone, Debug, Default)]
-pub struct ParShard {
-    pub shard: u64,
-    pub motes: u64,
-    pub windows: u64,
-    pub events: u64,
-    pub busy_ns: u64,
-    pub cross_sends: u64,
-    pub channel_wait_ns: u64,
+/// A `u32` field's value: past `u32::MAX` it is refused, not cut.
+fn narrow(n: u64, key: &str, line_no: usize) -> Result<u32, String> {
+    u32::try_from(n).map_err(|_| format!("line {line_no}: {key} out of range"))
 }
 
-/// One parsed `kind:"window"` line.
-#[derive(Clone, Debug, Default)]
-pub struct ParWindow {
-    pub index: u64,
-    pub t_wall_ns: u64,
-    pub start_us: u64,
-    pub end_us: u64,
-    pub clipped: bool,
-    pub workers: u64,
-    pub motes: u64,
-    pub events: u64,
-    pub busy_ns: Vec<u64>,
-    pub events_per_worker: Vec<u64>,
-    pub drain_ns: u64,
-    pub par_ns: u64,
-    pub merge_ns: u64,
-    pub cross_sends: u64,
-    /// `(emit_us, from, to)` sample for flow arrows.
-    pub sends: Vec<(u64, u64, u64)>,
-    /// `(shard, worker, busy_ns, events)` per shard stepped this window (v2).
-    pub shard_busy: Vec<(u64, u64, u64, u64)>,
+/// [`num`] for a `u32` field (see [`narrow`]).
+fn num32(v: &Value, key: &str, line_no: usize) -> Result<u32, String> {
+    narrow(num(v, key), key, line_no)
 }
 
-fn u64_of(v: &Value, key: &str) -> u64 {
-    v.get(key).and_then(|x| x.as_u64()).unwrap_or(0)
+fn flag(v: &Value, key: &str) -> bool {
+    v.get(key).and_then(Value::as_bool).unwrap_or(false)
 }
 
-fn u64_vec(v: &Value, key: &str) -> Vec<u64> {
-    v.get(key)
-        .and_then(|x| x.as_array())
-        .map(|a| a.iter().filter_map(|x| x.as_u64()).collect())
-        .unwrap_or_default()
+/// The elements of the array `key` (none when missing).
+fn items<'a>(v: &'a Value, key: &str) -> &'a [Value] {
+    v.get(key).and_then(Value::as_array).map_or(&[], Vec::as_slice)
 }
 
-/// One parsed run: its header, shard summaries and detailed windows.
-pub type ParsedRun = (ParRun, Vec<ParShard>, Vec<ParWindow>);
-
-/// Parses a `ceu-par-stats/v1` or `/v2` JSONL stream. The stream may carry
-/// several runs (e.g. one per thread count); each run's shard summaries and
-/// windows follow its header.
-pub fn parse_par_stats(text: &str) -> Result<Vec<ParsedRun>, String> {
-    let mut runs: Vec<ParsedRun> = Vec::new();
+/// Parses a `ceu-par-stats/v1` or `/v2` JSONL stream into the writer's own
+/// [`ParStats`]. The stream may carry several runs (e.g. one per thread
+/// count); each run's shard summaries and windows follow its header. The
+/// derived fields (`window_wall_ns`, a window's `wall_ns`) are recomputed
+/// by the [`ParStats`] methods, not read.
+pub fn parse_par_stats(text: &str) -> Result<Vec<ParStats>, String> {
+    let mut runs: Vec<ParStats> = Vec::new();
     for (idx, line) in text.lines().enumerate() {
         let line_no = idx + 1;
         let line = line.trim();
@@ -113,100 +69,103 @@ pub fn parse_par_stats(text: &str) -> Result<Vec<ParsedRun>, String> {
                 "line {line_no}: not a ceu-par-stats/v1|v2 record (schema={schema:?})"
             ));
         }
+        let n = |key| num(&v, key);
+        let n32 = |key| num32(&v, key, line_no);
         match v.get("kind").and_then(|k| k.as_str()) {
             Some("run") => {
-                runs.push((
-                    ParRun {
-                        threads: u64_of(&v, "threads"),
-                        lookahead_us: u64_of(&v, "lookahead_us"),
-                        motes: u64_of(&v, "motes"),
-                        shards: u64_of(&v, "shards"),
-                        fallback: v.get("fallback").and_then(|f| f.as_bool()).unwrap_or(false),
-                        wall_ns: u64_of(&v, "wall_ns"),
-                        window_wall_ns: u64_of(&v, "window_wall_ns"),
-                        windows: u64_of(&v, "windows"),
-                        dropped_windows: u64_of(&v, "dropped_windows"),
-                        events: u64_of(&v, "events"),
-                        cross_sends: u64_of(&v, "cross_sends"),
-                        heap_pushes: u64_of(&v, "heap_pushes"),
-                        heap_pops: u64_of(&v, "heap_pops"),
-                        busy_ns: u64_of(&v, "busy_ns"),
-                        imbalance_ns: u64_of(&v, "imbalance_ns"),
-                        lookahead_ns: u64_of(&v, "lookahead_ns"),
-                        barrier_ns: u64_of(&v, "barrier_ns"),
-                        merge_ns: u64_of(&v, "merge_ns"),
-                        critical_busy_ns: u64_of(&v, "critical_busy_ns"),
-                        drain_wall_ns: u64_of(&v, "drain_wall_ns"),
-                        par_wall_ns: u64_of(&v, "par_wall_ns"),
-                        merge_wall_ns: u64_of(&v, "merge_wall_ns"),
+                let mut s = ParStats::new(DEFAULT_WINDOW_CAP);
+                s.threads = n32("threads")?;
+                s.lookahead_us = n("lookahead_us");
+                s.motes = n32("motes")?;
+                s.shards = n32("shards")?;
+                s.fallback = flag(&v, "fallback");
+                s.wall_ns = n("wall_ns");
+                s.dropped_windows = n("dropped_windows");
+                s.totals = ParTotals {
+                    windows: n("windows"),
+                    events: n("events"),
+                    motes_stepped: n("motes_stepped"),
+                    cross_sends: n("cross_sends"),
+                    heap_pushes: n("heap_pushes"),
+                    heap_pops: n("heap_pops"),
+                    drain_ns: n("drain_wall_ns"),
+                    par_ns: n("par_wall_ns"),
+                    merge_ns: n("merge_wall_ns"),
+                    critical_busy_ns: n("critical_busy_ns"),
+                    attribution: Attribution {
+                        busy_ns: n("busy_ns"),
+                        imbalance_ns: n("imbalance_ns"),
+                        lookahead_ns: n("lookahead_ns"),
+                        barrier_ns: n("barrier_ns"),
+                        merge_ns: n("merge_ns"),
                     },
-                    Vec::new(),
-                    Vec::new(),
-                ));
+                };
+                runs.push(s);
             }
             Some("shard") => {
-                let s = ParShard {
-                    shard: u64_of(&v, "shard"),
-                    motes: u64_of(&v, "motes"),
-                    windows: u64_of(&v, "windows"),
-                    events: u64_of(&v, "events"),
-                    busy_ns: u64_of(&v, "busy_ns"),
-                    cross_sends: u64_of(&v, "cross_sends"),
-                    channel_wait_ns: u64_of(&v, "channel_wait_ns"),
+                let row = ParShardStats {
+                    shard: n32("shard")?,
+                    motes: n32("motes")?,
+                    windows: n("windows"),
+                    events: n("events"),
+                    busy_ns: n("busy_ns"),
+                    cross_sends: n("cross_sends"),
+                    channel_wait_ns: n("channel_wait_ns"),
                 };
-                match runs.last_mut() {
-                    Some((_, shards, _)) => shards.push(s),
-                    None => return Err(format!("line {line_no}: shard before any run header")),
-                }
+                let run = runs
+                    .last_mut()
+                    .ok_or_else(|| format!("line {line_no}: shard before any run header"))?;
+                run.per_shard.push(row);
             }
             Some("window") => {
-                let sends = v
-                    .get("sends")
-                    .and_then(|s| s.as_array())
-                    .map(|a| {
-                        a.iter()
-                            .map(|s| (u64_of(s, "at_us"), u64_of(s, "from"), u64_of(s, "to")))
-                            .collect()
+                let u64s =
+                    |key| -> Vec<u64> { items(&v, key).iter().filter_map(Value::as_u64).collect() };
+                let motes_per_worker = u64s("motes_per_worker")
+                    .into_iter()
+                    .map(|m| narrow(m, "motes_per_worker", line_no))
+                    .collect::<Result<_, _>>()?;
+                let send_sample = items(&v, "sends")
+                    .iter()
+                    .map(|s| {
+                        let from = num32(s, "from", line_no)?;
+                        Ok((num(s, "at_us"), from, num32(s, "to", line_no)?))
                     })
-                    .unwrap_or_default();
-                let shard_busy = v
-                    .get("shard_busy")
-                    .and_then(|s| s.as_array())
-                    .map(|a| {
-                        a.iter()
-                            .map(|s| {
-                                (
-                                    u64_of(s, "shard"),
-                                    u64_of(s, "worker"),
-                                    u64_of(s, "busy_ns"),
-                                    u64_of(s, "events"),
-                                )
-                            })
-                            .collect()
+                    .collect::<Result<_, String>>()?;
+                let shard_busy = items(&v, "shard_busy")
+                    .iter()
+                    .map(|s| {
+                        let shard = num32(s, "shard", line_no)?;
+                        let worker = num32(s, "worker", line_no)?;
+                        Ok((shard, worker, num(s, "busy_ns"), num(s, "events")))
                     })
-                    .unwrap_or_default();
-                let w = ParWindow {
-                    index: u64_of(&v, "i"),
-                    t_wall_ns: u64_of(&v, "t_wall_ns"),
-                    start_us: u64_of(&v, "start_us"),
-                    end_us: u64_of(&v, "end_us"),
-                    clipped: v.get("clipped").and_then(|c| c.as_bool()).unwrap_or(false),
-                    workers: u64_of(&v, "workers"),
-                    motes: u64_of(&v, "motes"),
-                    events: u64_of(&v, "events"),
-                    busy_ns: u64_vec(&v, "busy_ns"),
-                    events_per_worker: u64_vec(&v, "events_per_worker"),
-                    drain_ns: u64_of(&v, "drain_ns"),
-                    par_ns: u64_of(&v, "par_ns"),
-                    merge_ns: u64_of(&v, "merge_ns"),
-                    cross_sends: u64_of(&v, "cross_sends"),
-                    sends,
+                    .collect::<Result<_, String>>()?;
+                let w = ParWindowStats {
+                    index: n("i"),
+                    t_wall_ns: n("t_wall_ns"),
+                    start_us: n("start_us"),
+                    end_us: n("end_us"),
+                    lookahead_us: n("lookahead_us"),
+                    clipped: flag(&v, "clipped"),
+                    threads: n32("threads")?,
+                    workers: n32("workers")?,
+                    motes: n32("motes")?,
+                    events: n("events"),
+                    busy_ns: u64s("busy_ns"),
+                    events_per_worker: u64s("events_per_worker"),
+                    motes_per_worker,
+                    drain_ns: n("drain_ns"),
+                    par_ns: n("par_ns"),
+                    merge_ns: n("merge_ns"),
+                    heap_pushes: n("heap_pushes"),
+                    heap_pops: n("heap_pops"),
+                    cross_sends: n("cross_sends"),
+                    send_sample,
                     shard_busy,
                 };
-                match runs.last_mut() {
-                    Some((_, _, windows)) => windows.push(w),
-                    None => return Err(format!("line {line_no}: window before any run header")),
-                }
+                let run = runs
+                    .last_mut()
+                    .ok_or_else(|| format!("line {line_no}: window before any run header"))?;
+                run.windows.push(w);
             }
             other => return Err(format!("line {line_no}: unknown kind {other:?}")),
         }
@@ -244,49 +203,50 @@ fn bar(frac: f64, width: usize) -> String {
 /// fault barriers). When the detailed-window cap truncated collection,
 /// the coverage line says so explicitly — run totals stay exact either
 /// way, but the per-worker histogram only spans the retained windows.
-pub fn render_par_run(run: &ParRun, shards: &[ParShard], windows: &[ParWindow]) -> String {
+pub fn render_par_run(s: &ParStats) -> String {
+    let t = &s.totals;
+    let a = &t.attribution;
     let mut out = String::new();
     let _ = writeln!(
         out,
         "ceu-par-stats: {} motes, {} threads, {} shards, lookahead {}µs{}",
-        run.motes,
-        run.threads,
-        run.shards,
-        run.lookahead_us,
-        if run.fallback { " (sequential fallback)" } else { "" },
+        s.motes,
+        s.threads,
+        s.shards,
+        s.lookahead_us,
+        if s.fallback { " (sequential fallback)" } else { "" },
     );
     let _ = writeln!(
         out,
         "run wall-clock {}; {} windows ({} dropped past cap), {} events, \
          {} cross-window sends, heap {}push/{}pop",
-        fmt_ns(run.wall_ns),
-        run.windows,
-        run.dropped_windows,
-        run.events,
-        run.cross_sends,
-        run.heap_pushes,
-        run.heap_pops,
+        fmt_ns(s.wall_ns),
+        t.windows,
+        s.dropped_windows,
+        t.events,
+        t.cross_sends,
+        t.heap_pushes,
+        t.heap_pops,
     );
 
-    let capacity = run.threads * run.wall_ns;
-    let attributed =
-        run.busy_ns + run.imbalance_ns + run.lookahead_ns + run.barrier_ns + run.merge_ns;
-    let coverage = if capacity == 0 { 0.0 } else { 100.0 * attributed as f64 / capacity as f64 };
+    let capacity = u64::from(s.threads).saturating_mul(s.wall_ns);
     let pct = |ns: u64| if capacity == 0 { 0.0 } else { 100.0 * ns as f64 / capacity as f64 };
+    let attributed = a.total_ns();
+    let coverage = pct(attributed);
 
     let _ = writeln!(
         out,
         "\nstall attribution (thread-time capacity {} = {} threads x {}):",
         fmt_ns(capacity),
-        run.threads,
-        fmt_ns(run.wall_ns)
+        s.threads,
+        fmt_ns(s.wall_ns)
     );
     let rows = [
-        ("busy (stepping motes)", run.busy_ns),
-        ("imbalance-bound", run.imbalance_ns),
-        ("lookahead-bound", run.lookahead_ns),
-        ("barrier-bound", run.barrier_ns),
-        ("merge-bound", run.merge_ns),
+        ("busy (stepping motes)", a.busy_ns),
+        ("imbalance-bound", a.imbalance_ns),
+        ("lookahead-bound", a.lookahead_ns),
+        ("barrier-bound", a.barrier_ns),
+        ("merge-bound", a.merge_ns),
     ];
     for (label, ns) in rows {
         let p = pct(ns);
@@ -301,57 +261,49 @@ pub fn render_par_run(run: &ParRun, shards: &[ParShard], windows: &[ParWindow]) 
         100.0 - coverage,
     );
     let _ = write!(out, "coverage: {coverage:.1}% of measured wall-clock attributed");
-    if run.dropped_windows > 0 {
+    if s.dropped_windows > 0 {
         let _ = writeln!(
             out,
             " — detailed-window cap hit: {} of {} windows kept no per-window \
              detail (run totals stay exact; the tables below span only the {} \
              retained windows)",
-            run.dropped_windows,
-            run.windows,
-            run.windows.saturating_sub(run.dropped_windows),
+            s.dropped_windows,
+            t.windows,
+            t.windows.saturating_sub(s.dropped_windows),
         );
     } else {
         out.push('\n');
     }
 
-    let stalls = [
-        ("imbalance-bound", run.imbalance_ns),
-        ("lookahead-bound", run.lookahead_ns),
-        ("barrier-bound", run.barrier_ns),
-        ("merge-bound", run.merge_ns),
-    ];
-    let dominant = stalls.iter().max_by_key(|(_, ns)| *ns).copied().unwrap_or(("none", 0));
-    if run.fallback || dominant.1 == 0 {
+    let (stall, stall_ns) = a.dominant_stall();
+    if s.fallback || stall_ns == 0 {
         let _ = writeln!(out, "dominant stall: none (no parallel windows recorded)");
     } else {
-        let _ =
-            writeln!(out, "dominant stall: {} ({:.1}% of capacity)", dominant.0, pct(dominant.1));
+        let _ = writeln!(out, "dominant stall: {stall} ({:.1}% of capacity)", pct(stall_ns));
     }
 
     // per-shard load table + imbalance call-out (v2 streams)
-    if !shards.is_empty() {
-        let total_busy: u64 = shards.iter().map(|s| s.busy_ns).sum();
-        let _ = writeln!(out, "\nper-shard load ({} shards):", shards.len());
-        for s in shards {
-            let share = if total_busy == 0 { 0.0 } else { s.busy_ns as f64 / total_busy as f64 };
+    if let Some(heaviest) = s.per_shard.iter().max_by_key(|r| r.busy_ns) {
+        let total_busy = s.per_shard.iter().fold(0, |sum: u64, r| sum.saturating_add(r.busy_ns));
+        let _ = writeln!(out, "\nper-shard load ({} shards):", s.per_shard.len());
+        for r in &s.per_shard {
+            let share = if total_busy == 0 { 0.0 } else { r.busy_ns as f64 / total_busy as f64 };
             let _ = writeln!(
                 out,
                 "  s{:<3} |{}| {:>10} busy ({:>4.1}%), {} motes, {} windows, \
                  {} events, {} cross-sends, ch-wait {}",
-                s.shard,
+                r.shard,
                 bar(share, 20),
-                fmt_ns(s.busy_ns),
+                fmt_ns(r.busy_ns),
                 100.0 * share,
-                s.motes,
-                s.windows,
-                s.events,
-                s.cross_sends,
-                fmt_ns(s.channel_wait_ns),
+                r.motes,
+                r.windows,
+                r.events,
+                r.cross_sends,
+                fmt_ns(r.channel_wait_ns),
             );
         }
-        let heaviest = shards.iter().max_by_key(|s| s.busy_ns).expect("non-empty");
-        let mean = total_busy as f64 / shards.len() as f64;
+        let mean = total_busy as f64 / s.per_shard.len() as f64;
         let ratio = if mean == 0.0 { 1.0 } else { heaviest.busy_ns as f64 / mean };
         let _ = writeln!(
             out,
@@ -366,20 +318,20 @@ pub fn render_par_run(run: &ParRun, shards: &[ParShard], windows: &[ParWindow]) 
     }
 
     // per-worker load histogram, aggregated over the detailed windows
-    let max_workers = windows.iter().map(|w| w.busy_ns.len()).max().unwrap_or(0);
+    let max_workers = s.windows.iter().map(|w| w.busy_ns.len()).max().unwrap_or(0);
     if max_workers > 0 {
         let mut busy = vec![0u64; max_workers];
         let mut events = vec![0u64; max_workers];
-        for w in windows {
-            for (i, b) in w.busy_ns.iter().enumerate() {
-                busy[i] += b;
+        for w in &s.windows {
+            for (sum, b) in busy.iter_mut().zip(&w.busy_ns) {
+                *sum = sum.saturating_add(*b);
             }
-            for (i, e) in w.events_per_worker.iter().enumerate() {
-                events[i] += e;
+            for (sum, e) in events.iter_mut().zip(&w.events_per_worker) {
+                *sum = sum.saturating_add(*e);
             }
         }
-        let total_busy: u64 = busy.iter().sum();
-        let _ = writeln!(out, "\nper-worker load ({} detailed windows):", windows.len());
+        let total_busy = busy.iter().fold(0, |sum: u64, b| sum.saturating_add(*b));
+        let _ = writeln!(out, "\nper-worker load ({} detailed windows):", s.windows.len());
         for (i, (b, e)) in busy.iter().zip(&events).enumerate() {
             let share = if total_busy == 0 { 0.0 } else { *b as f64 / total_busy as f64 };
             let _ = writeln!(
@@ -392,15 +344,11 @@ pub fn render_par_run(run: &ParRun, shards: &[ParShard], windows: &[ParWindow]) 
         }
     }
 
-    let _ = writeln!(out, "\nutilization: {:.1}%", pct(run.busy_ns));
-    // work / critical-path bound, with the serial drain+merge in both terms
-    let serial = run.drain_wall_ns + run.merge_wall_ns;
-    let work = run.busy_ns + serial;
-    let critical = run.critical_busy_ns + serial;
-    let speedup = if critical == 0 { 1.0 } else { work as f64 / critical as f64 };
+    let _ = writeln!(out, "\nutilization: {:.1}%", 100.0 * s.utilization());
     let _ = writeln!(
         out,
-        "achievable speedup (work/critical-path, this window structure): {speedup:.2}x",
+        "achievable speedup (work/critical-path, this window structure): {:.2}x",
+        s.achievable_speedup(),
     );
     out
 }
@@ -409,11 +357,11 @@ pub fn render_par_run(run: &ParRun, shards: &[ParShard], windows: &[ParWindow]) 
 pub fn par_report(text: &str) -> Result<String, String> {
     let runs = parse_par_stats(text)?;
     let mut out = String::new();
-    for (i, (run, shards, windows)) in runs.iter().enumerate() {
+    for (i, run) in runs.iter().enumerate() {
         if i > 0 {
             out.push('\n');
         }
-        out.push_str(&render_par_run(run, shards, windows));
+        out.push_str(&render_par_run(run));
     }
     Ok(out)
 }
@@ -448,10 +396,10 @@ pub fn par_stats_perfetto_events(text: &str) -> Result<Vec<String>, String> {
     ));
     let ts = |ns: u64| format!("{:.3}", ns as f64 / 1_000.0);
     let mut named_workers = 0usize;
-    let mut named_shards: std::collections::BTreeSet<u64> = std::collections::BTreeSet::new();
+    let mut named_shards: std::collections::BTreeSet<u32> = std::collections::BTreeSet::new();
     let mut flow_id = 500_000u64; // clear of the reaction-flow ids
-    for (run, _, windows) in &runs {
-        for w in windows {
+    for run in &runs {
+        for w in &run.windows {
             for tid in named_workers..w.busy_ns.len() {
                 out.push(format!(
                     "{{\"ph\":\"M\",\"pid\":{SCHED_PID},\"tid\":{},\"name\":\"thread_name\",\
@@ -465,12 +413,12 @@ pub fn par_stats_perfetto_events(text: &str) -> Result<Vec<String>, String> {
                     out.push(format!(
                         "{{\"ph\":\"M\",\"pid\":{SCHED_PID},\"tid\":{},\"name\":\"thread_name\",\
                          \"args\":{{\"name\":\"shard {shard}\"}}}}",
-                        SHARD_TID_BASE + shard,
+                        SHARD_TID_BASE + u64::from(shard),
                     ));
                 }
             }
-            let drain_end = w.t_wall_ns + w.drain_ns;
-            let par_end = drain_end + w.par_ns;
+            let drain_end = w.t_wall_ns.saturating_add(w.drain_ns);
+            let par_end = drain_end.saturating_add(w.par_ns);
             out.push(format!(
                 "{{\"ph\":\"X\",\"pid\":{SCHED_PID},\"tid\":0,\"ts\":{},\"dur\":{},\
                  \"name\":\"drain w{}\",\"cat\":\"sched\",\
@@ -509,14 +457,14 @@ pub fn par_stats_perfetto_events(text: &str) -> Result<Vec<String>, String> {
                     out.push(format!(
                         "{{\"ph\":\"X\",\"pid\":{SCHED_PID},\"tid\":{tid},\"ts\":{},\
                          \"dur\":{},\"name\":\"stall\",\"cat\":\"sched-stall\"}}",
-                        ts(drain_end + busy),
+                        ts(drain_end.saturating_add(*busy)),
                         ts(stall),
                     ));
                 }
             }
             // shard tracks: a worker steps its shards back-to-back, so
             // offset each shard slice by what the same worker ran first
-            let mut worker_off: std::collections::HashMap<u64, u64> =
+            let mut worker_off: std::collections::HashMap<u32, u64> =
                 std::collections::HashMap::new();
             for &(shard, worker, busy, events) in &w.shard_busy {
                 let off = worker_off.entry(worker).or_insert(0);
@@ -524,20 +472,22 @@ pub fn par_stats_perfetto_events(text: &str) -> Result<Vec<String>, String> {
                     "{{\"ph\":\"X\",\"pid\":{SCHED_PID},\"tid\":{},\"ts\":{},\"dur\":{},\
                      \"name\":\"shard {shard} w{}\",\"cat\":\"sched-shard\",\
                      \"args\":{{\"events\":{events},\"worker\":{worker}}}}}",
-                    SHARD_TID_BASE + shard,
-                    ts(drain_end + *off),
+                    SHARD_TID_BASE + u64::from(shard),
+                    ts(drain_end.saturating_add(*off)),
                     ts(busy),
                     w.index,
                 ));
-                *off += busy;
+                *off = off.saturating_add(busy);
             }
             // flow arrows: this window's merge routes each sampled send;
             // it lands in the first later window whose virtual span can
             // contain the arrival (emit + lookahead at the earliest)
-            for &(at_us, from, to) in &w.sends {
-                let arrival_floor = at_us + run.lookahead_us;
-                let Some(target) =
-                    windows.iter().find(|t| t.t_wall_ns > w.t_wall_ns && t.end_us > arrival_floor)
+            for &(at_us, from, to) in &w.send_sample {
+                let arrival_floor = at_us.saturating_add(run.lookahead_us);
+                let Some(target) = run
+                    .windows
+                    .iter()
+                    .find(|t| t.t_wall_ns > w.t_wall_ns && t.end_us > arrival_floor)
                 else {
                     continue;
                 };
@@ -562,49 +512,55 @@ pub fn par_stats_perfetto_events(text: &str) -> Result<Vec<String>, String> {
 mod tests {
     use super::*;
 
-    const STATS: &str = r#"
-{"schema":"ceu-par-stats/v2","kind":"run","threads":2,"lookahead_us":700,"motes":4,"shards":2,"fallback":false,"wall_ns":10000,"window_wall_ns":9000,"windows":2,"dropped_windows":0,"events":30,"motes_stepped":8,"cross_sends":6,"heap_pushes":40,"heap_pops":38,"busy_ns":6000,"imbalance_ns":1000,"lookahead_ns":2000,"barrier_ns":4000,"merge_ns":5000,"critical_busy_ns":4000,"drain_wall_ns":1000,"par_wall_ns":6500,"merge_wall_ns":1500}
-{"schema":"ceu-par-stats/v2","kind":"shard","shard":0,"motes":2,"windows":2,"events":20,"busy_ns":4000,"cross_sends":4,"channel_wait_ns":300}
-{"schema":"ceu-par-stats/v2","kind":"shard","shard":1,"motes":2,"windows":2,"events":10,"busy_ns":2000,"cross_sends":2,"channel_wait_ns":100}
-{"schema":"ceu-par-stats/v2","kind":"window","i":0,"t_wall_ns":0,"start_us":1000,"end_us":1700,"lookahead_us":700,"clipped":false,"threads":2,"workers":2,"motes":4,"events":16,"busy_ns":[2000,1500],"events_per_worker":[9,7],"motes_per_worker":[2,2],"drain_ns":500,"par_ns":3000,"merge_ns":800,"wall_ns":4300,"heap_pushes":20,"heap_pops":19,"cross_sends":3,"sends":[{"at_us":1200,"from":0,"to":1}],"shard_busy":[{"shard":0,"worker":0,"busy_ns":2000,"events":9},{"shard":1,"worker":1,"busy_ns":1500,"events":7}]}
-{"schema":"ceu-par-stats/v2","kind":"window","i":1,"t_wall_ns":4500,"start_us":1700,"end_us":2400,"lookahead_us":700,"clipped":false,"threads":2,"workers":2,"motes":4,"events":14,"busy_ns":[1400,1100],"events_per_worker":[8,6],"motes_per_worker":[2,2],"drain_ns":400,"par_ns":3200,"merge_ns":700,"wall_ns":4300,"heap_pushes":20,"heap_pops":19,"cross_sends":3,"sends":[],"shard_busy":[{"shard":0,"worker":0,"busy_ns":1400,"events":8},{"shard":1,"worker":1,"busy_ns":1100,"events":6}]}
-"#;
-
-    const STATS_V1: &str = r#"
-{"schema":"ceu-par-stats/v1","kind":"run","threads":2,"lookahead_us":700,"motes":4,"fallback":false,"wall_ns":10000,"window_wall_ns":9000,"windows":2,"dropped_windows":0,"events":30,"motes_stepped":8,"cross_sends":6,"heap_pushes":40,"heap_pops":38,"busy_ns":6000,"imbalance_ns":1000,"lookahead_ns":2000,"barrier_ns":4000,"merge_ns":5000,"critical_busy_ns":4000,"drain_wall_ns":1000,"par_wall_ns":6500,"merge_wall_ns":1500}
-{"schema":"ceu-par-stats/v1","kind":"window","i":0,"t_wall_ns":0,"start_us":1000,"end_us":1700,"lookahead_us":700,"clipped":false,"threads":2,"workers":2,"motes":4,"events":16,"busy_ns":[2000,1500],"events_per_worker":[9,7],"motes_per_worker":[2,2],"drain_ns":500,"par_ns":3000,"merge_ns":800,"wall_ns":4300,"heap_pushes":20,"heap_pops":19,"cross_sends":3,"sends":[{"at_us":1200,"from":0,"to":1}]}
-"#;
+    const STATS: &str = include_str!("../tests/fixtures/v2.jsonl");
+    const STATS_V1: &str = include_str!("../tests/fixtures/v1.jsonl");
+    const FALLBACK: &str = include_str!("../tests/fixtures/fallback.jsonl");
+    const TRUNCATED: &str = include_str!("../tests/fixtures/truncated.jsonl");
+    const SKEWED: &str = include_str!("../tests/fixtures/skewed.jsonl");
 
     #[test]
     fn parses_runs_shards_and_windows() {
         let runs = parse_par_stats(STATS).unwrap();
         assert_eq!(runs.len(), 1);
-        let (run, shards, windows) = &runs[0];
+        let run = &runs[0];
         assert_eq!(run.threads, 2);
         assert_eq!(run.shards, 2);
         assert!(!run.fallback);
-        assert_eq!(shards.len(), 2);
-        assert_eq!(shards[0].busy_ns, 4000);
-        assert_eq!(shards[1].channel_wait_ns, 100);
-        assert_eq!(windows.len(), 2);
-        assert_eq!(windows[0].busy_ns, vec![2000, 1500]);
-        assert_eq!(windows[0].sends, vec![(1200, 0, 1)]);
-        assert_eq!(windows[0].shard_busy, vec![(0, 0, 2000, 9), (1, 1, 1500, 7)]);
+        assert_eq!(run.per_shard.len(), 2);
+        assert_eq!(run.per_shard[0].busy_ns, 4000);
+        assert_eq!(run.per_shard[1].channel_wait_ns, 100);
+        assert_eq!(run.windows.len(), 2);
+        assert_eq!(run.windows[0].busy_ns, vec![2000, 1500]);
+        assert_eq!(run.windows[0].motes_per_worker, vec![2, 2]);
+        assert_eq!(run.windows[0].send_sample, vec![(1200, 0, 1)]);
+        assert_eq!(run.windows[0].shard_busy, vec![(0, 0, 2000, 9), (1, 1, 1500, 7)]);
+        // the derived fields are recomputed and agree with the stream
+        assert_eq!(run.window_wall_ns(), 9000);
+        assert_eq!(run.windows[1].wall_ns(), 4300);
     }
 
     #[test]
     fn v1_streams_still_parse_without_shard_records() {
         let runs = parse_par_stats(STATS_V1).unwrap();
-        let (run, shards, windows) = &runs[0];
+        let run = &runs[0];
         assert_eq!(run.threads, 2);
         assert_eq!(run.shards, 0);
-        assert!(shards.is_empty());
-        assert_eq!(windows.len(), 1);
-        assert!(windows[0].shard_busy.is_empty());
+        assert!(run.per_shard.is_empty());
+        assert_eq!(run.windows.len(), 1);
+        assert!(run.windows[0].shard_busy.is_empty());
         // and the report renders without a shard table
         let report = par_report(STATS_V1).unwrap();
         assert!(!report.contains("per-shard load"), "{report}");
         assert!(report.contains("dominant stall:"), "{report}");
+    }
+
+    #[test]
+    fn missing_keys_read_as_zero_or_false() {
+        let run = r#"{"schema":"ceu-par-stats/v2","kind":"run"}"#;
+        let runs = parse_par_stats(run).unwrap();
+        assert_eq!(runs[0], ParStats::new(DEFAULT_WINDOW_CAP));
+        let window = format!("{run}\n{}", r#"{"schema":"ceu-par-stats/v2","kind":"window"}"#);
+        assert_eq!(parse_par_stats(&window).unwrap()[0].windows, vec![ParWindowStats::default()]);
     }
 
     #[test]
@@ -635,20 +591,13 @@ mod tests {
 
     #[test]
     fn skewed_shards_get_the_imbalance_call_out() {
-        let skewed = STATS.replace(
-            r#""shard":0,"motes":2,"windows":2,"events":20,"busy_ns":4000"#,
-            r#""shard":0,"motes":2,"windows":2,"events":20,"busy_ns":40000"#,
-        );
-        let report = par_report(&skewed).unwrap();
+        let report = par_report(SKEWED).unwrap();
         assert!(report.contains("skewed partition"), "{report}");
     }
 
     #[test]
     fn truncated_collection_is_called_out_on_the_coverage_line() {
-        let truncated = STATS
-            .replace(r#""dropped_windows":0"#, r#""dropped_windows":7"#)
-            .replace(r#""windows":2,"#, r#""windows":9,"#);
-        let report = par_report(&truncated).unwrap();
+        let report = par_report(TRUNCATED).unwrap();
         assert!(
             report.contains(
                 "coverage: 90.0% of measured wall-clock attributed — detailed-window \
@@ -663,8 +612,7 @@ mod tests {
 
     #[test]
     fn fallback_run_still_reports_utilization_fields() {
-        let text = r#"{"schema":"ceu-par-stats/v2","kind":"run","threads":1,"lookahead_us":0,"motes":1,"shards":1,"fallback":true,"wall_ns":5000,"window_wall_ns":0,"windows":0,"dropped_windows":0,"events":0,"motes_stepped":0,"cross_sends":0,"heap_pushes":0,"heap_pops":0,"busy_ns":0,"imbalance_ns":0,"lookahead_ns":0,"barrier_ns":0,"merge_ns":0,"critical_busy_ns":0,"drain_wall_ns":0,"par_wall_ns":0,"merge_wall_ns":0}"#;
-        let report = par_report(text).unwrap();
+        let report = par_report(FALLBACK).unwrap();
         assert!(report.contains("sequential fallback"), "{report}");
         assert!(report.contains("utilization:"), "{report}");
         assert!(report.contains("dominant stall: none"), "{report}");
@@ -718,5 +666,80 @@ mod tests {
         // so is an orphan shard summary
         let orphan_shard = r#"{"schema":"ceu-par-stats/v2","kind":"shard","shard":0}"#;
         assert!(parse_par_stats(orphan_shard).is_err());
+    }
+
+    #[test]
+    fn u32_fields_past_u32_max_are_refused_not_truncated() {
+        // (line, key, fragment of STATS, the same fragment with the value as N)
+        let cases = [
+            (1, "threads", r#""threads":2,"lookahead_us""#, r#""threads":N,"lookahead_us""#),
+            (1, "motes", r#""motes":4,"shards""#, r#""motes":N,"shards""#),
+            (1, "shards", r#""shards":2,"#, r#""shards":N,"#),
+            (3, "shard", r#""shard":1,"motes":2"#, r#""shard":N,"motes":2"#),
+            (3, "motes", r#""shard":1,"motes":2"#, r#""shard":1,"motes":N"#),
+            (
+                4,
+                "threads",
+                r#""threads":2,"workers":2,"motes":4,"events":16"#,
+                r#""threads":N,"workers":2,"motes":4,"events":16"#,
+            ),
+            (
+                4,
+                "workers",
+                r#""workers":2,"motes":4,"events":16"#,
+                r#""workers":N,"motes":4,"events":16"#,
+            ),
+            (4, "motes", r#""motes":4,"events":16"#, r#""motes":N,"events":16"#),
+            (
+                4,
+                "motes_per_worker",
+                r#""motes_per_worker":[2,2],"drain_ns":500"#,
+                r#""motes_per_worker":[2,N],"drain_ns":500"#,
+            ),
+            (4, "from", r#""from":0"#, r#""from":N"#),
+            (4, "to", r#""to":1"#, r#""to":N"#),
+            (
+                4,
+                "shard",
+                r#"{"shard":1,"worker":1,"busy_ns":1500"#,
+                r#"{"shard":N,"worker":1,"busy_ns":1500"#,
+            ),
+            (
+                4,
+                "worker",
+                r#"{"shard":1,"worker":1,"busy_ns":1500"#,
+                r#"{"shard":1,"worker":N,"busy_ns":1500"#,
+            ),
+        ];
+        let max = u64::from(u32::MAX);
+        for (line_no, key, from, to) in cases {
+            let with = |val: u64| {
+                assert!(STATS.contains(from), "fixture lost {from}");
+                STATS.replacen(from, &to.replace('N', &val.to_string()), 1)
+            };
+            let err = parse_par_stats(&with(max + 1)).unwrap_err();
+            assert_eq!(err, format!("line {line_no}: {key} out of range"), "{to}");
+            // u32::MAX itself is in range
+            parse_par_stats(&with(max)).unwrap();
+        }
+    }
+
+    #[test]
+    fn huge_run_wall_clock_reports_without_overflow() {
+        let text = r#"{"schema":"ceu-par-stats/v2","kind":"run","threads":4,"wall_ns":9223372036854775807}"#;
+        let report = par_report(text).unwrap();
+        assert!(report.contains("utilization: 0.0%"), "{report}");
+    }
+
+    #[test]
+    fn huge_window_times_export_without_overflow() {
+        let text = concat!(
+            r#"{"schema":"ceu-par-stats/v2","kind":"run","threads":2}"#,
+            "\n",
+            r#"{"schema":"ceu-par-stats/v2","kind":"window","t_wall_ns":9223372036854775807,"#,
+            r#""drain_ns":9223372036854775807,"par_ns":9223372036854775807,"busy_ns":[1]}"#,
+        );
+        let events = par_stats_perfetto_events(text).unwrap();
+        assert!(events.iter().any(|e| e.contains("\"name\":\"merge w0\"")), "{events:?}");
     }
 }

@@ -117,8 +117,13 @@ pub struct Attribution {
 
 impl Attribution {
     /// Total thread-time covered (equals `threads × window wall`).
+    /// Saturates: a parsed stream can carry any values.
     pub fn total_ns(&self) -> u64 {
-        self.busy_ns + self.imbalance_ns + self.lookahead_ns + self.barrier_ns + self.merge_ns
+        self.busy_ns
+            .saturating_add(self.imbalance_ns)
+            .saturating_add(self.lookahead_ns)
+            .saturating_add(self.barrier_ns)
+            .saturating_add(self.merge_ns)
     }
 
     /// The largest stall category (busy excluded) as `(name, ns)`;
@@ -304,7 +309,7 @@ impl ParStats {
     /// Worker utilization: busy thread-time over total thread-time
     /// capacity, in `[0, 1]`.
     pub fn utilization(&self) -> f64 {
-        let cap = self.threads as u64 * self.wall_ns;
+        let cap = u64::from(self.threads).saturating_mul(self.wall_ns);
         if cap == 0 {
             return 0.0;
         }
@@ -317,9 +322,9 @@ impl ParStats {
     /// window structure — a reworked scheduler can beat it by changing
     /// the windows themselves.
     pub fn achievable_speedup(&self) -> f64 {
-        let serial = self.totals.drain_ns + self.totals.merge_ns;
-        let work = self.totals.attribution.busy_ns + serial;
-        let critical = self.totals.critical_busy_ns + serial;
+        let serial = self.totals.drain_ns.saturating_add(self.totals.merge_ns);
+        let work = self.totals.attribution.busy_ns.saturating_add(serial);
+        let critical = self.totals.critical_busy_ns.saturating_add(serial);
         if critical == 0 {
             return 1.0;
         }

@@ -23,7 +23,7 @@ pub struct EventHeap<T> {
     nodes: Vec<Node<T>>,
     /// Lifetime push/pop counters (two `u64` increments per op — cheap
     /// enough to stay always-on). The parallel-scheduler introspection
-    /// layer reads deltas of these per window (`ceu-par-stats/v1`).
+    /// layer reads deltas of these per window (`ceu-par-stats/v2`).
     pushes: u64,
     pops: u64,
 }
